@@ -1,8 +1,8 @@
 #include "apps/sor.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 
 #include "data/dist_array.hpp"
@@ -186,31 +186,34 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       const int re = std::min(rb + bs, n - 1);
       return std::pair<int, int>(rb, re);
     };
+    // Owned columns are contiguous and their markers never increase left to
+    // right (checked after every move), so the minimum marker is the highest
+    // column's and the columns at it are the top run: the strip loop reads
+    // only that run, never the whole owned set. A rank always keeps a column.
     const auto min_marker = [&cols]() {
-      int m = std::numeric_limits<int>::max();
-      for (SliceId id : cols.owned_ids()) m = std::min(m, cols.marker(id));
-      return m;
+      return cols.marker(cols.highest_id());
+    };
+    // Lowest column of the top run at marker p.
+    const auto run_begin = [&cols](int p) {
+      const int run = cols.top_run([p](int m) { return m == p; });
+      return cols.highest_id() - run + 1;
     };
 
     // ---- work movement (the compiler-generated gather/scatter, §4.5) ----
     lb::SlaveAgent::WorkOps ops;
     ops.remaining = [&cols, strips] {
-      int r = 0;
-      for (SliceId id : cols.owned_ids()) r += cols.marker(id) < strips;
-      return r;
+      return cols.top_run([strips](int m) { return m < strips; });
     };
     ops.pack = [&, rank](int count,
                          int peer) -> Task<std::pair<Bytes, int>> {
       // Keep at least one column: an empty rank breaks the pipeline chain.
       const int actual = std::max(0, std::min(count, cols.owned_count() - 1));
-      auto owned = cols.owned_ids();
-      std::vector<SliceId> ids;
-      if (peer > rank) {
-        ids.assign(owned.end() - actual, owned.end());
-      } else {
-        ids.assign(owned.begin(), owned.begin() + actual);
+      std::vector<SliceId> ids(static_cast<std::size_t>(actual));
+      if (actual > 0) {
+        std::iota(ids.begin(), ids.end(),
+                  peer > rank ? cols.highest_id() - actual + 1
+                              : cols.lowest_id());
       }
-      msg::Writer w;
       if (peer > rank && actual > 0) {
         // Donating our highest columns: snapshot the lowest donated column
         // as our new right ghost (its rows at strips >= its marker still
@@ -226,14 +229,20 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         left_ghost_id = ids.back();
         left_ghost_marker = cols.marker(ids.back());
       }
-      Bytes cols_payload = cols.pack_and_remove(ids);
+      // One buffer, sized for the largest boundary snapshot: the snapshot,
+      // then the columns serialized in place behind their byte length.
       const bool boundary = actual > 0;
+      const std::size_t col_bytes = cols.packed_size(ids.size());
+      msg::Writer w;
+      w.reserve(sizeof(std::uint8_t) + 2 * sizeof(std::int32_t) +
+                2 * sizeof(std::uint64_t) + cols.slice_len() * sizeof(double) +
+                col_bytes);
       w.put<std::uint8_t>(boundary ? 1 : 0);
       if (boundary && peer < rank) {
         // Receiver attaches these columns at its right edge and needs
         // previous-sweep values of our (new) first column as its right
         // ghost / catch-up source.
-        const SliceId bnd = cols.owned_ids().front();
+        const SliceId bnd = ids.back() + 1;
         w.put<std::int32_t>(bnd);
         w.put_vec(cols.slice(bnd));
       } else if (boundary && peer > rank) {
@@ -243,12 +252,13 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         // ghosts for a *different* column (whichever was highest at the
         // time) and will never be re-sent, so ship a snapshot with its
         // marker. Strips beyond the marker flow as ordinary ghosts.
-        const SliceId bnd = cols.owned_ids().back();
+        const SliceId bnd = ids.front() - 1;
         w.put<std::int32_t>(bnd);
         w.put<std::int32_t>(cols.marker(bnd));
         w.put_vec(cols.slice(bnd));
       }
-      w.put_bytes(cols_payload);
+      w.put<std::uint64_t>(col_bytes);
+      cols.pack_and_remove(ids, w);
       co_return std::make_pair(w.take(), actual);
     };
     ops.unpack = [&, rank](const Bytes& payload, int peer) -> Task<int> {
@@ -264,7 +274,19 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         left_ghost_marker = r.get<std::int32_t>();
         left_ghost = r.get_vec<double>();
       }
-      const auto ids = cols.unpack_and_add(r.get_bytes());
+      const auto col_bytes = r.get<std::uint64_t>();
+      NOWLB_CHECK(col_bytes == r.remaining(),
+                  "rank " << rank << ": move from peer " << peer
+                          << " declares " << col_bytes
+                          << " column bytes but carries " << r.remaining());
+      const auto ids = cols.unpack_and_add(r);
+      NOWLB_CHECK(r.done(), "rank " << rank << ": move from peer " << peer
+                                    << " has bytes after its columns");
+      NOWLB_CHECK(cols.is_staircase(),
+                  "rank " << rank << " after integrating columns from peer "
+                          << peer
+                          << ": owned columns are not contiguous or their "
+                             "markers increase left to right");
       if (!ids.empty()) {
         NOWLB_LOG(Debug, "sor") << "rank " << rank << " integrated cols ["
                                 << ids.front() << ".." << ids.back()
@@ -338,7 +360,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
 
     // ------------------------------ sweeps ------------------------------
     for (int sweep = 0; sweep < cfg.sweeps; ++sweep) {
-      for (SliceId id : cols.owned_ids()) cols.set_marker(id, 0);
+      cols.set_markers_from(cols.lowest_id(), 0);
       ghost_stash.clear();
       left_ghost_id = -1;
       left_ghost_marker = 0;
@@ -348,7 +370,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       // of each rank's first column go to the left neighbour.
       if (has_left) {
         msg::Writer w;
-        const SliceId first = cols.owned_ids().front();
+        const SliceId first = cols.lowest_id();
         w.put<std::int32_t>(sweep).put<std::int32_t>(first);
         w.put_vec(cols.slice(first));
         co_await ctx.send(left_pid, kTagSweepStart, w.take());
@@ -382,12 +404,12 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         }
         const auto [rb, re] = strip_rows(p);
 
-        // Columns to process this strip: marker == p. Markers are
-        // non-increasing left-to-right, so this is the suffix of owned ids.
-        // The ghost pump can change ownership (work movement), so the set
-        // is re-validated after every receive; a change in the minimum
-        // marker restarts the strip loop entirely (rewind / skip-ahead).
-        std::vector<SliceId> work;
+        // Columns to process this strip: marker == p, the top run
+        // [firstw, highest]. The ghost pump can change ownership (work
+        // movement), so the run is re-validated after every receive; a
+        // change in the minimum marker restarts the strip loop entirely
+        // (rewind / skip-ahead).
+        SliceId firstw = 0;
         std::optional<std::vector<double>> lseg;
         bool restart_strip = false;
         for (;;) {
@@ -395,12 +417,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
             restart_strip = true;
             break;
           }
-          work.clear();
-          for (SliceId id : cols.owned_ids()) {
-            if (cols.marker(id) == p) work.push_back(id);
-          }
-          NOWLB_CHECK(!work.empty());
-          const SliceId firstw = work.front();
+          firstw = run_begin(p);
           if (firstw - 1 == 0 || cols.owns(firstw - 1)) {
             lseg.reset();
             break;  // left values are local
@@ -420,12 +437,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
           // work set or even the leftmost column the segment was for. A
           // fetched segment that is not used *now* goes into the stash —
           // a later rewind over the same strip will need it again.
-          std::vector<SliceId> now_work;
-          for (SliceId id : cols.owned_ids()) {
-            if (cols.marker(id) == p) now_work.push_back(id);
-          }
-          const bool usable = min_marker() == p && !now_work.empty() &&
-                              now_work.front() == firstw;
+          const bool usable = min_marker() == p && run_begin(p) == firstw;
           if (!usable) {
             ghost_stash[{p, firstw - 1}] = std::move(*lseg);
             lseg.reset();
@@ -435,17 +447,18 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
             }
             continue;
           }
-          work = std::move(now_work);
           break;
         }
         if (restart_strip) continue;
 
+        // Nothing moves before the next receive, so the run stays put.
+        const SliceId hi = cols.highest_id();
+        const int width = hi - firstw + 1;
         co_await ctx.compute(static_cast<Time>(re - rb) *
-                             static_cast<Time>(work.size()) *
-                             cfg.update_cost);
+                             static_cast<Time>(width) * cfg.update_cost);
         if (cfg.real_compute) {
           for (int i = rb; i < re; ++i) {
-            for (SliceId j : work) {
+            for (SliceId j = firstw; j <= hi; ++j) {
               auto& col = cols.slice(j);
               const double left =
                   (j - 1 == 0) ? bnd_left[static_cast<std::size_t>(i)]
@@ -470,14 +483,12 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
             }
           }
         }
-        for (SliceId j : work) cols.set_marker(j, p + 1);
+        cols.set_markers_from(firstw, p + 1);
 
         // Pipeline: our highest column's new strip values are the right
-        // rank's left boundary. The highest owned column always has the
-        // minimum marker, so it was processed this strip.
+        // rank's left boundary; it ends the top run, so it was processed
+        // this strip.
         if (has_right) {
-          const SliceId hi = cols.owned_ids().back();
-          NOWLB_CHECK(hi == work.back());
           NOWLB_LOG(Debug, "sor") << "rank " << rank << " sends ghost s" << sweep
                                   << " strip " << p << " col " << hi;
           co_await ctx.send(
@@ -486,8 +497,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
                            cols.slice(hi).data() + rb, re - rb));
         }
 
-        const double units =
-            static_cast<double>(work.size()) * (re - rb) / interior;
+        const double units = static_cast<double>(width) * (re - rb) / interior;
         shared->units_by_rank[static_cast<std::size_t>(rank)] += units;
         if (agent) {
           agent->add_units(units);

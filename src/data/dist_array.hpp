@@ -10,6 +10,7 @@
 // computed, enabling the catch-up / set-aside reconciliation of §4.5.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -95,29 +96,83 @@ class DistArray {
     return out;
   }
 
-  /// Serialize the given slices (removing them) into a movement payload.
-  msg::Bytes pack_and_remove(const std::vector<SliceId>& ids) {
-    msg::Writer w;
-    // Encoded size: count + per slice (id, marker, length, data); exact
-    // when every slice holds slice_len_ elements, an upper bound otherwise.
-    w.reserve(sizeof(std::uint32_t) +
-              ids.size() * (2 * sizeof(std::int32_t) + sizeof(std::uint64_t) +
-                            slice_len_ * sizeof(T)));
+  /// Lowest / highest held id; throws when no slice is held.
+  SliceId lowest_id() const {
+    NOWLB_CHECK(!slices_.empty(), "no slices held");
+    return slices_.begin()->first;
+  }
+  SliceId highest_id() const {
+    NOWLB_CHECK(!slices_.empty(), "no slices held");
+    return slices_.rbegin()->first;
+  }
+
+  /// Length of the run of highest ids whose markers all satisfy `pred`:
+  /// walks down from the highest id and stops at the first that fails.
+  template <typename Pred>
+  int top_run(Pred pred) const {
+    int n = 0;
+    for (auto it = slices_.rbegin();
+         it != slices_.rend() && pred(it->second.marker); ++it) {
+      ++n;
+    }
+    return n;
+  }
+
+  /// Set the marker of every held slice with id >= `from` to `m`.
+  void set_markers_from(SliceId from, int m) {
+    for (auto it = slices_.lower_bound(from); it != slices_.end(); ++it) {
+      it->second.marker = m;
+    }
+  }
+
+  /// True when the held ids are contiguous and their markers never increase
+  /// with the id (vacuously true when empty). Pipelined applications keep
+  /// this shape, so their lowest markers always form the top run.
+  bool is_staircase() const {
+    return std::adjacent_find(slices_.begin(), slices_.end(),
+                              [](const auto& lo, const auto& hi) {
+                                return hi.first != lo.first + 1 ||
+                                       hi.second.marker > lo.second.marker;
+                              }) == slices_.end();
+  }
+
+  /// Encoded size of a movement payload of `count` slices: count, then per
+  /// slice (id, marker, length, data).
+  std::size_t packed_size(std::size_t count) const {
+    return sizeof(std::uint32_t) +
+           count * (2 * sizeof(std::int32_t) + sizeof(std::uint64_t) +
+                    slice_len_ * sizeof(T));
+  }
+
+  /// Serialize the given slices (removing them) into a movement payload,
+  /// appended to `w`; exactly packed_size(ids.size()) bytes.
+  void pack_and_remove(const std::vector<SliceId>& ids, msg::Writer& w) {
     w.put<std::uint32_t>(static_cast<std::uint32_t>(ids.size()));
     for (SliceId id : ids) {
       auto [contents, marker] = remove(id);
+      NOWLB_CHECK(contents.size() == slice_len_,
+                  "slice " << id << " resized to " << contents.size());
       w.put<std::int32_t>(id);
       w.put<std::int32_t>(marker);
       w.put_vec(contents);
     }
+  }
+
+  msg::Bytes pack_and_remove(const std::vector<SliceId>& ids) {
+    msg::Writer w;
+    w.reserve(packed_size(ids.size()));
+    pack_and_remove(ids, w);
     return w.take();
   }
 
-  /// Integrate a movement payload produced by pack_and_remove; returns the
-  /// ids received (already added to the local set).
-  std::vector<SliceId> unpack_and_add(const msg::Bytes& payload) {
-    msg::Reader r(payload);
+  /// Integrate a movement payload produced by pack_and_remove, read from
+  /// `r`; returns the ids received (already added to the local set).
+  std::vector<SliceId> unpack_and_add(msg::Reader& r) {
     const auto n = r.get<std::uint32_t>();
+    NOWLB_CHECK(n <= r.remaining() / (2 * sizeof(std::int32_t) +
+                                      sizeof(std::uint64_t)),
+                "movement payload claims " << n << " slices in "
+                                           << r.remaining() << " bytes");
     std::vector<SliceId> ids;
     ids.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -127,6 +182,14 @@ class DistArray {
       add(id, std::move(contents), marker);
       ids.push_back(id);
     }
+    return ids;
+  }
+
+  std::vector<SliceId> unpack_and_add(const msg::Bytes& payload) {
+    msg::Reader r(payload);
+    auto ids = unpack_and_add(r);
+    NOWLB_CHECK(r.done(), "movement payload has " << r.remaining()
+                                                  << " trailing bytes");
     return ids;
   }
 

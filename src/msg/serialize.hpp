@@ -90,7 +90,10 @@ class Reader {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_vec() {
     const auto n = get<std::uint64_t>();
-    check_available(n * sizeof(T));
+    NOWLB_CHECK(n <= remaining() / sizeof(T),
+                "payload truncated: need " << n << " elements of "
+                                           << sizeof(T) << " bytes, have "
+                                           << remaining() << " bytes");
     std::vector<T> v(n);
     if (n) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -111,9 +114,9 @@ class Reader {
 
  private:
   void check_available(std::size_t n) const {
-    NOWLB_CHECK(pos_ + n <= buf_.size(),
-                "payload truncated: need " << n << " bytes, have "
-                                           << buf_.size() - pos_);
+    // Compared against what is left, so a huge length prefix cannot wrap.
+    NOWLB_CHECK(n <= remaining(), "payload truncated: need "
+                                      << n << " bytes, have " << remaining());
   }
   void extract(void* p, std::size_t n) {
     check_available(n);

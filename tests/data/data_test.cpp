@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "data/activity.hpp"
 #include "data/dist_array.hpp"
 #include "data/index_set.hpp"
@@ -172,6 +175,120 @@ TEST(DistArray, OwnedIdsSorted) {
   a.add(1, {0});
   a.add(3, {0});
   EXPECT_EQ(a.owned_ids(), (std::vector<SliceId>{1, 3, 5}));
+}
+
+TEST(DistArray, LowestHighestOnEmptyThrow) {
+  DistArray<double> a(1);
+  EXPECT_THROW(a.lowest_id(), CheckFailure);
+  EXPECT_THROW(a.highest_id(), CheckFailure);
+  a.add(4, {0});
+  a.add(2, {0});
+  EXPECT_EQ(a.lowest_id(), 2);
+  EXPECT_EQ(a.highest_id(), 4);
+}
+
+// Columns 10..14 with markers 5,5,3,3,3: the shape SOR's strip loop keeps.
+DistArray<double> staircase() {
+  DistArray<double> a(2);
+  const int markers[] = {5, 5, 3, 3, 3};
+  for (int i = 0; i < 5; ++i) {
+    a.add(10 + i, {static_cast<double>(i), -1.0}, markers[i]);
+  }
+  return a;
+}
+
+std::vector<int> markers_of(const DistArray<double>& a) {
+  std::vector<int> out;
+  for (SliceId id : a.owned_ids()) out.push_back(a.marker(id));
+  return out;
+}
+
+TEST(DistArray, TopRunStopsAtFirstFailingMarker) {
+  const auto a = staircase();
+  EXPECT_EQ(a.top_run([](int m) { return m == 3; }), 3);
+  EXPECT_EQ(a.top_run([](int m) { return m < 5; }), 3);
+  EXPECT_EQ(a.top_run([](int m) { return m < 6; }), 5);
+  EXPECT_EQ(a.top_run([](int m) { return m == 5; }), 0);
+  EXPECT_EQ(DistArray<double>(2).top_run([](int) { return true; }), 0);
+}
+
+TEST(DistArray, SetMarkersFromUpdatesOnlyIdsAtOrAbove) {
+  auto a = staircase();
+  a.set_markers_from(12, 4);
+  EXPECT_EQ(markers_of(a), (std::vector<int>{5, 5, 4, 4, 4}));
+  a.set_markers_from(14, 5);
+  EXPECT_EQ(markers_of(a), (std::vector<int>{5, 5, 4, 4, 5}));
+  a.set_markers_from(a.lowest_id(), 0);
+  EXPECT_EQ(markers_of(a), (std::vector<int>{0, 0, 0, 0, 0}));
+  a.set_markers_from(15, 9);  // above every id: no-op
+  EXPECT_EQ(markers_of(a), (std::vector<int>{0, 0, 0, 0, 0}));
+}
+
+TEST(DistArray, StaircaseRejectsRisingMarkersAndGaps) {
+  EXPECT_TRUE(staircase().is_staircase());
+  EXPECT_TRUE(DistArray<double>(2).is_staircase());
+
+  auto rising = staircase();
+  rising.set_markers_from(14, 4);  // 5,5,3,3,4
+  EXPECT_FALSE(rising.is_staircase());
+
+  DistArray<double> increasing(1);
+  increasing.add(1, {0}, 3);
+  increasing.add(2, {0}, 3);
+  increasing.add(3, {0}, 5);
+  EXPECT_FALSE(increasing.is_staircase());
+
+  auto gap = staircase();
+  gap.remove(12);
+  EXPECT_FALSE(gap.is_staircase());
+}
+
+TEST(DistArray, PackIntoWriterAppendsExactlyThePayload) {
+  auto a = staircase();
+  auto b = staircase();
+  const std::vector<SliceId> ids = {12, 13, 14};
+  const Bytes expected = a.pack_and_remove(ids);
+  EXPECT_EQ(expected.size(), a.packed_size(ids.size()));
+
+  msg::Writer w;
+  w.put<std::uint8_t>(0xAB);  // a header already in the buffer stays put
+  b.pack_and_remove(ids, w);
+  const Bytes got = w.take();
+  ASSERT_EQ(got.size(), 1 + expected.size());
+  EXPECT_EQ(got[0], std::byte{0xAB});
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin() + 1));
+  EXPECT_EQ(b.owned_ids(), (std::vector<SliceId>{10, 11}));
+  EXPECT_EQ(a.packed_size(0), sizeof(std::uint32_t));
+}
+
+TEST(DistArray, UnpackFromReaderRestoresSlicesAndConsumesPayload) {
+  auto src = staircase();
+  msg::Writer w;
+  src.pack_and_remove({12, 13, 14}, w);
+  const Bytes payload = w.take();
+
+  DistArray<double> dst(2);
+  msg::Reader r(payload);
+  EXPECT_EQ(dst.unpack_and_add(r), (std::vector<SliceId>{12, 13, 14}));
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(markers_of(dst), (std::vector<int>{3, 3, 3}));
+  EXPECT_EQ(dst.slice(13), (std::vector<double>{3.0, -1.0}));
+}
+
+TEST(DistArray, UnpackBytesRejectsTrailingBytes) {
+  auto src = staircase();
+  Bytes payload = src.pack_and_remove({10});
+  payload.push_back(std::byte{0});
+  DistArray<double> dst(2);
+  EXPECT_THROW(dst.unpack_and_add(payload), CheckFailure);
+}
+
+TEST(DistArray, UnpackRejectsSliceCountBeyondPayload) {
+  msg::Writer w;
+  w.put<std::uint32_t>(std::numeric_limits<std::uint32_t>::max());
+  const Bytes payload = w.take();
+  DistArray<double> dst(2);
+  EXPECT_THROW(dst.unpack_and_add(payload), CheckFailure);
 }
 
 // --------------------------------------------------------- ActivityMask

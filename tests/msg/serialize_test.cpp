@@ -66,6 +66,28 @@ TEST(Serialize, TruncatedPayloadThrows) {
   EXPECT_THROW(r.get<std::int64_t>(), CheckFailure);
 }
 
+// A length prefix near 2^64 must not wrap the bounds check: it throws the
+// reader's CheckFailure, not std::length_error from the vector it sizes.
+TEST(Serialize, HugeBytesLengthThrows) {
+  Writer w;
+  w.put<std::uint64_t>(std::numeric_limits<std::uint64_t>::max());
+  w.put<std::uint64_t>(0);  // something left to read
+  Bytes b = w.take();
+  Reader r(b);
+  EXPECT_THROW(r.get_bytes(), CheckFailure);
+  Reader rs(b);
+  EXPECT_THROW(rs.get_string(), CheckFailure);
+}
+
+TEST(Serialize, HugeVectorLengthThrows) {
+  Writer w;
+  w.put<std::uint64_t>((std::uint64_t{1} << 61) + 1);  // * 8 bytes wraps to 8
+  w.put<double>(1.0);
+  Bytes b = w.take();
+  Reader r(b);
+  EXPECT_THROW(r.get_vec<double>(), CheckFailure);
+}
+
 TEST(Serialize, TruncatedVectorThrows) {
   Writer w;
   w.put_vec(std::vector<double>{1, 2, 3});
