@@ -55,11 +55,8 @@ BENCHMARK(BM_CoroutinePingPong);
 static void BM_SerializeColumn(benchmark::State& state) {
   std::vector<double> col(2000, 1.5);
   for (auto _ : state) {
-    msg::Writer w;
-    w.put_vec(col);
-    auto b = w.take();
-    msg::Reader r(b);
-    auto out = r.get_vec<double>();
+    const auto b = msg::encode(col);
+    auto out = msg::decode<std::vector<double>>(b);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(state.iterations() * 2000 * sizeof(double));

@@ -42,13 +42,10 @@ int main(int argc, char** argv) {
                          int) -> sim::Task<std::pair<sim::Bytes, int>> {
       const int actual = std::min(count, units[rank]);
       units[rank] -= actual;
-      msg::Writer w;
-      w.put(actual);
-      co_return std::make_pair(w.take(), actual);
+      co_return std::make_pair(msg::encode(actual), actual);
     };
     ops.unpack = [&, rank](const sim::Bytes& b, int) -> sim::Task<int> {
-      msg::Reader r(b);
-      const int got = r.get<int>();
+      const int got = msg::decode<int>(b);
       units[rank] += got;
       co_return got;
     };

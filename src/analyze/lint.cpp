@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "analyze/include_graph.hpp"
-#include "analyze/proto_model.hpp"
 
 namespace nowlb::analyze {
 
@@ -147,11 +146,7 @@ LintResult run_lint(const LintOptions& opts) {
   }
   run_layering_rules(files, opts.config, all);
 
-  // The wire-contract verifier: protocol model + W/T/P+F passes.
-  const ProtoModel model = build_proto_model(files);
-  run_wire_rules(model, all);
-  run_trailer_rules(model, all);
-  run_flow_rules(model, opts.config, all);
+  run_flow_rules(files, opts.config, all);
 
   // Apply inline suppressions: a finding dies if a matching-rule NOLINT
   // sits on its line, or a NOLINTNEXTLINE on the line above.

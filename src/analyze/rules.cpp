@@ -27,23 +27,6 @@ const std::vector<Rule> kCatalog = {
      "wire the tag into a handler dispatch or delete it"},
     {"P002", kRuleTagNoRecv,
      "add a receive-side dispatch (recv/try_recv/==/case) or delete the tag"},
-    {"W001", kRuleWireSymmetry,
-     "make decode() read exactly the fields encode() writes, in the same "
-     "order and with the same widths"},
-    {"W002", kRuleWireSize,
-     "make encoded_size() sum exactly one term per encoded field (see "
-     "DESIGN.md §14 for the term grammar)"},
-    {"W003", kRuleWireOnesided,
-     "give the struct the missing half of the encode/decode pair, or drop "
-     "it from the wire"},
-    {"T001", kRuleTrailerMarker,
-     "give every kTrailer* constant a distinct marker byte"},
-    {"T002", kRuleTrailerCase,
-     "every trailer an encoder appends needs a matching marker branch in "
-     "the paired decode loop, and vice versa"},
-    {"T003", kRuleTrailerOrder,
-     "emit trailers in the same relative order in every encoder so decode "
-     "loops can rely on one composition order"},
     {"F001", kRuleTagNoOrigin,
      "add a send site for the tag or delete the receive-side dispatch"},
     {"F002", kRuleTagAsym,

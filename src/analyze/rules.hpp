@@ -1,11 +1,9 @@
 // Rule catalog for nowlb-lint.
 //
-// Six families, one contract each:
+// Four families, one contract each:
 //   D (determinism)  — the simulator must be a pure function of its seeds.
 //   L (layering)     — the include graph must respect the module order.
 //   P (protocol)     — every wire tag must be handled somewhere.
-//   W (wire)         — encode / decode / encoded_size must agree per struct.
-//   T (trailer)      — marker-byte trailers compose symmetrically.
 //   F (flow)         — tag send/recv sites must pair up across modules.
 // Plus S (suppression hygiene): a NOLINT without a reason — or one that no
 // longer suppresses anything — is itself a finding, so suppressions stay
@@ -45,12 +43,6 @@ inline constexpr const char* kRuleLayer = "nowlb-layer";
 inline constexpr const char* kRuleCycle = "nowlb-cycle";
 inline constexpr const char* kRuleTagUnhandled = "nowlb-tag-unhandled";
 inline constexpr const char* kRuleTagNoRecv = "nowlb-tag-norecv";
-inline constexpr const char* kRuleWireSymmetry = "nowlb-wire-symmetry";
-inline constexpr const char* kRuleWireSize = "nowlb-wire-size";
-inline constexpr const char* kRuleWireOnesided = "nowlb-wire-onesided";
-inline constexpr const char* kRuleTrailerMarker = "nowlb-trailer-marker";
-inline constexpr const char* kRuleTrailerCase = "nowlb-trailer-case";
-inline constexpr const char* kRuleTrailerOrder = "nowlb-trailer-order";
 inline constexpr const char* kRuleTagNoOrigin = "nowlb-tag-norigin";
 inline constexpr const char* kRuleTagAsym = "nowlb-tag-asym";
 inline constexpr const char* kRuleNolint = "nowlb-nolint";
@@ -92,19 +84,10 @@ RuleConfig default_config();
 void run_determinism_rules(const ScannedFile& f, const RuleConfig& cfg,
                            std::vector<Finding>& out);
 
-struct ProtoModel;  // analyze/proto_model.hpp
-
-/// W-rules: per-struct encode/decode/encoded_size symmetry (W001-W003).
-void run_wire_rules(const ProtoModel& model, std::vector<Finding>& out);
-
-/// T-rules: kTrailer* marker uniqueness, trailer-case pairing, and
-/// composition-order consistency (T001-T003).
-void run_trailer_rules(const ProtoModel& model, std::vector<Finding>& out);
-
 /// P+F-rules: cross-module tag-flow graph — unreferenced tags (P001),
 /// tags never examined on the receive side (P002), tags received but
 /// never sent (F001), and master/slave endpoint asymmetry (F002).
-void run_flow_rules(const ProtoModel& model, const RuleConfig& cfg,
-                    std::vector<Finding>& out);
+void run_flow_rules(const std::vector<ScannedFile>& files,
+                    const RuleConfig& cfg, std::vector<Finding>& out);
 
 }  // namespace nowlb::analyze

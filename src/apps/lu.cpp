@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
 #include "data/dist_array.hpp"
 #include "data/slice.hpp"
@@ -23,6 +24,14 @@ using sim::Time;
 namespace {
 
 constexpr sim::Tag kTagPivot = 8101;  // multipliers broadcast for step k
+
+// The owner of column k broadcasts its multipliers for step k.
+template <class Col = std::vector<double>>
+struct Pivot {
+  std::int32_t step = 0;
+  Col multipliers;
+  template <class A> void fields(A& a) { a(step, multipliers); }
+};
 
 }  // namespace
 
@@ -193,10 +202,8 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
               ck[static_cast<std::size_t>(i)];
         }
         pivots[static_cast<std::size_t>(k)] = std::move(piv);
-        msg::Writer w;
-        w.put<std::int32_t>(k);
-        w.put_vec(pivots[static_cast<std::size_t>(k)]);
-        Bytes payload = w.take();
+        const Bytes payload = msg::encode(Pivot<std::span<const double>>{
+            k, pivots[static_cast<std::size_t>(k)]});
         for (int r2 = 0; r2 < R; ++r2) {
           if (r2 == rank) continue;
           co_await ctx.send(c.slave_pid(r2), kTagPivot, payload);
@@ -219,9 +226,9 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
                                 " tag=" + std::to_string(m.tag);
           if (agent) agent->note_blocked(ctx.now() - w0);
           if (m.tag == kTagPivot) {
-            msg::Reader r(m.payload);
-            const int kp = r.get<std::int32_t>();
-            pivots[static_cast<std::size_t>(kp)] = r.get_vec<double>();
+            auto bcast = msg::decode<Pivot<>>(m.payload);
+            pivots[static_cast<std::size_t>(bcast.step)] =
+                std::move(bcast.multipliers);
           } else {
             NOWLB_CHECK(agent.has_value(), "runtime message without balancer");
             co_await agent->accept_runtime(std::move(m));

@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 #include <optional>
+#include <span>
 
 #include "data/dist_array.hpp"
 #include "data/slice.hpp"
@@ -35,17 +36,89 @@ constexpr sim::Tag kTagCalib = 8003;       // broadcast strip size at startup
 constexpr double kC1 = 0.493;
 constexpr double kC2 = -0.972;
 
-struct GhostHeader {
+// A column field: a View when sent, a vector (the default) when received.
+using View = std::span<const double>;
+
+// One strip's rows of the sender's highest column: the right rank's left
+// boundary for that strip.
+template <class Col = std::vector<double>>
+struct Ghost {
   std::int32_t sweep = 0;
   std::int32_t strip = 0;
   std::int32_t col = 0;
+  Col rows;
+  template <class A> void fields(A& a) { a(sweep, strip, col, rows); }
 };
 
-Bytes encode_ghost(const GhostHeader& h, const double* rows, int count) {
-  msg::Writer w;
-  w.put(h.sweep).put(h.strip).put(h.col);
-  w.put_vec(std::vector<double>(rows, rows + count));
-  return w.take();
+// Previous-sweep values of a rank's first column, for its left neighbour.
+template <class Col = std::vector<double>>
+struct SweepStart {
+  std::int32_t sweep = 0;
+  std::int32_t col = 0;
+  Col values;
+  template <class A> void fields(A& a) { a(sweep, col, values); }
+};
+
+// Boundary snapshot a left receiver gets with moved columns: the donor's
+// new first column, which becomes the receiver's right ghost.
+template <class Col = std::vector<double>>
+struct LeftEdge {
+  std::int32_t id = 0;
+  Col column;
+  template <class A> void fields(A& a) { a(id, column); }
+};
+
+// Boundary snapshot a right receiver gets: the donor's new highest column
+// and its marker, the receiver's left boundary for strips below it.
+template <class Col = std::vector<double>>
+struct RightEdge {
+  std::int32_t id = 0;
+  std::int32_t marker = 0;
+  Col column;
+  template <class A> void fields(A& a) { a(id, marker, column); }
+};
+
+// A work transfer between neighbours; `Edge` depends on the direction. A
+// clamped, empty transfer carries no snapshot (boundary == 0). `col_bytes`
+// repeats the encoded size of the column list.
+template <class Edge>
+struct ColumnMove {
+  std::uint8_t boundary = 0;
+  Edge edge;
+  std::uint64_t col_bytes = 0;
+  DistArray<double>::Moving columns;
+
+  template <class A>
+  void fields(A& a) {
+    a(boundary);
+    if (boundary) a(edge);
+    a(col_bytes, columns);
+  }
+};
+
+// Moves the columns `ids` out of `cols` into one payload, with `edge` as the
+// snapshot when anything moves; each column is freed once it is written.
+template <class Edge>
+Bytes encode_move(DistArray<double>& cols, std::vector<SliceId> ids,
+                  const Edge& edge) {
+  const std::uint8_t boundary = ids.empty() ? 0 : 1;
+  ColumnMove<Edge> mv{boundary, edge, 0,
+                      DistArray<double>::Moving(cols, std::move(ids))};
+  mv.col_bytes = msg::encoded_size(mv.columns);
+  return msg::encode(mv);
+}
+
+// Reads a transfer, adding its columns to `cols` as they are read.
+template <class Edge>
+ColumnMove<Edge> decode_move(const Bytes& payload, DistArray<double>& cols,
+                             int rank, int peer) {
+  ColumnMove<Edge> mv{0, {}, 0, DistArray<double>::Moving(cols)};
+  msg::decode(payload, mv);
+  NOWLB_CHECK(mv.col_bytes == msg::encoded_size(mv.columns),
+              "rank " << rank << ": move from peer " << peer << " declares "
+                      << mv.col_bytes << " column bytes but carries "
+                      << msg::encoded_size(mv.columns));
+  return mv;
 }
 
 }  // namespace
@@ -166,15 +239,12 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
             loop::grain_target(ctx.world().config().host.quantum), per_row,
             interior);
         for (int r2 = 1; r2 < R; ++r2) {
-          msg::Writer w;
-          w.put<std::int32_t>(bs);
-          co_await ctx.send(c.slave_pid(r2), kTagCalib, w.take());
+          co_await ctx.send(c.slave_pid(r2), kTagCalib, msg::encode(bs));
         }
         shared->block_rows_used = bs;
       } else {
         Message m = co_await ctx.recv(kTagCalib, c.slave_pid(0));
-        msg::Reader r(m.payload);
-        bs = r.get<std::int32_t>();
+        bs = msg::decode<std::int32_t>(m.payload);
       }
     } else if (rank == 0) {
       shared->block_rows_used = bs;
@@ -229,59 +299,50 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         left_ghost_id = ids.back();
         left_ghost_marker = cols.marker(ids.back());
       }
-      // One buffer, sized for the largest boundary snapshot: the snapshot,
-      // then the columns serialized in place behind their byte length.
-      const bool boundary = actual > 0;
-      const std::size_t col_bytes = cols.packed_size(ids.size());
-      msg::Writer w;
-      w.reserve(sizeof(std::uint8_t) + 2 * sizeof(std::int32_t) +
-                2 * sizeof(std::uint64_t) + cols.slice_len() * sizeof(double) +
-                col_bytes);
-      w.put<std::uint8_t>(boundary ? 1 : 0);
-      if (boundary && peer < rank) {
+      Bytes payload;
+      if (peer < rank) {
         // Receiver attaches these columns at its right edge and needs
         // previous-sweep values of our (new) first column as its right
         // ghost / catch-up source.
-        const SliceId bnd = ids.back() + 1;
-        w.put<std::int32_t>(bnd);
-        w.put_vec(cols.slice(bnd));
-      } else if (boundary && peer > rank) {
+        LeftEdge<View> edge;
+        if (actual > 0) edge = {ids.back() + 1, cols.slice(ids.back() + 1)};
+        payload = encode_move(cols, std::move(ids), edge);
+      } else {
         // Receiver attaches these columns at its left edge; for strips our
         // (new) highest column has already covered this sweep it needs that
         // column's values as left boundary — those segments went out as
         // ghosts for a *different* column (whichever was highest at the
         // time) and will never be re-sent, so ship a snapshot with its
         // marker. Strips beyond the marker flow as ordinary ghosts.
-        const SliceId bnd = ids.front() - 1;
-        w.put<std::int32_t>(bnd);
-        w.put<std::int32_t>(cols.marker(bnd));
-        w.put_vec(cols.slice(bnd));
+        RightEdge<View> edge;
+        if (actual > 0) {
+          const SliceId bnd = ids.front() - 1;
+          edge = {bnd, cols.marker(bnd), cols.slice(bnd)};
+        }
+        payload = encode_move(cols, std::move(ids), edge);
       }
-      w.put<std::uint64_t>(col_bytes);
-      cols.pack_and_remove(ids, w);
-      co_return std::make_pair(w.take(), actual);
+      co_return std::make_pair(std::move(payload), actual);
     };
     ops.unpack = [&, rank](const Bytes& payload, int peer) -> Task<int> {
-      msg::Reader r(payload);
       // Non-empty transfers carry the donor's boundary-column snapshot;
       // clamped (empty) transfers carry nothing.
-      const bool boundary = r.get<std::uint8_t>() != 0;
-      if (boundary && peer > rank) {
-        right_ghost_id = r.get<std::int32_t>();
-        right_ghost = r.get_vec<double>();
-      } else if (boundary && peer < rank) {
-        left_ghost_id = r.get<std::int32_t>();
-        left_ghost_marker = r.get<std::int32_t>();
-        left_ghost = r.get_vec<double>();
+      std::vector<SliceId> ids;
+      if (peer > rank) {
+        auto mv = decode_move<LeftEdge<>>(payload, cols, rank, peer);
+        if (mv.boundary) {
+          right_ghost_id = mv.edge.id;
+          right_ghost = std::move(mv.edge.column);
+        }
+        ids = std::move(mv.columns).ids();
+      } else {
+        auto mv = decode_move<RightEdge<>>(payload, cols, rank, peer);
+        if (mv.boundary) {
+          left_ghost_id = mv.edge.id;
+          left_ghost_marker = mv.edge.marker;
+          left_ghost = std::move(mv.edge.column);
+        }
+        ids = std::move(mv.columns).ids();
       }
-      const auto col_bytes = r.get<std::uint64_t>();
-      NOWLB_CHECK(col_bytes == r.remaining(),
-                  "rank " << rank << ": move from peer " << peer
-                          << " declares " << col_bytes
-                          << " column bytes but carries " << r.remaining());
-      const auto ids = cols.unpack_and_add(r);
-      NOWLB_CHECK(r.done(), "rank " << rank << ": move from peer " << peer
-                                    << " has bytes after its columns");
       NOWLB_CHECK(cols.is_staircase(),
                   "rank " << rank << " after integrating columns from peer "
                           << peer
@@ -341,18 +402,13 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         NOWLB_CHECK(m.tag == kTagGhost, "unexpected tag " << m.tag);
         NOWLB_CHECK(m.src == left_pid,
                     "ghost from pid " << m.src << ", not the left rank");
-        msg::Reader r(m.payload);
-        GhostHeader h;
-        h.sweep = r.get<std::int32_t>();
-        h.strip = r.get<std::int32_t>();
-        h.col = r.get<std::int32_t>();
-        auto seg = r.get_vec<double>();
-        if (h.sweep == sweep && h.strip == strip && h.col == col) {
-          co_return seg;
+        auto g = msg::decode<Ghost<>>(m.payload);
+        if (g.sweep == sweep && g.strip == strip && g.col == col) {
+          co_return std::move(g.rows);
         }
-        NOWLB_CHECK(h.sweep <= sweep, "ghost from future sweep " << h.sweep);
-        if (h.sweep == sweep) {
-          ghost_stash[{h.strip, h.col}] = std::move(seg);
+        NOWLB_CHECK(g.sweep <= sweep, "ghost from future sweep " << g.sweep);
+        if (g.sweep == sweep) {
+          ghost_stash[{g.strip, g.col}] = std::move(g.rows);
         }
         // prior-sweep ghosts are superseded; drop
       }
@@ -369,22 +425,21 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       // Communication outside the distributed loop: previous-sweep values
       // of each rank's first column go to the left neighbour.
       if (has_left) {
-        msg::Writer w;
         const SliceId first = cols.lowest_id();
-        w.put<std::int32_t>(sweep).put<std::int32_t>(first);
-        w.put_vec(cols.slice(first));
-        co_await ctx.send(left_pid, kTagSweepStart, w.take());
+        Bytes start =
+            msg::encode(SweepStart<View>{sweep, first, cols.slice(first)});
+        co_await ctx.send(left_pid, kTagSweepStart, std::move(start));
       }
       if (has_right) {
         const Time w0 = ctx.now();
         shared->probe[rank] = "sweepstart sweep=" + std::to_string(sweep);
         Message m = co_await ctx.recv(kTagSweepStart, right_pid);
         if (agent) agent->note_blocked(ctx.now() - w0);
-        msg::Reader r(m.payload);
-        const int sw = r.get<std::int32_t>();
-        NOWLB_CHECK(sw == sweep, "sweep-start for sweep " << sw);
-        right_ghost_id = r.get<std::int32_t>();
-        right_ghost = r.get_vec<double>();
+        auto start = msg::decode<SweepStart<>>(m.payload);
+        NOWLB_CHECK(start.sweep == sweep,
+                    "sweep-start for sweep " << start.sweep);
+        right_ghost_id = start.col;
+        right_ghost = std::move(start.values);
       }
 
       // Strip loop, driven by the minimum marker: freshly caught-up
@@ -491,10 +546,9 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         if (has_right) {
           NOWLB_LOG(Debug, "sor") << "rank " << rank << " sends ghost s" << sweep
                                   << " strip " << p << " col " << hi;
-          co_await ctx.send(
-              right_pid, kTagGhost,
-              encode_ghost({sweep, p, hi},
-                           cols.slice(hi).data() + rb, re - rb));
+          Bytes ghost = msg::encode(Ghost<View>{
+              sweep, p, hi, View(cols.slice(hi)).subspan(rb, re - rb)});
+          co_await ctx.send(right_pid, kTagGhost, std::move(ghost));
         }
 
         const double units = static_cast<double>(width) * (re - rb) / interior;

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "data/ownership.hpp"
@@ -136,61 +137,66 @@ class DistArray {
                               }) == slices_.end();
   }
 
-  /// Encoded size of a movement payload of `count` slices: count, then per
-  /// slice (id, marker, length, data).
-  std::size_t packed_size(std::size_t count) const {
-    return sizeof(std::uint32_t) +
-           count * (2 * sizeof(std::int32_t) + sizeof(std::uint64_t) +
-                    slice_len_ * sizeof(T));
-  }
+  /// One moved slice on the wire (§4.5). `Col` is std::span<const T> while
+  /// the slice is still held here, std::vector<T> once read off the wire.
+  template <class Col = std::vector<T>>
+  struct Record {
+    std::int32_t id = 0;
+    std::int32_t marker = 0;
+    Col contents;
+    template <class A> void fields(A& a) { a(id, marker, contents); }
+  };
 
-  /// Serialize the given slices (removing them) into a movement payload,
-  /// appended to `w`; exactly packed_size(ids.size()) bytes.
-  void pack_and_remove(const std::vector<SliceId>& ids, msg::Writer& w) {
-    w.put<std::uint32_t>(static_cast<std::uint32_t>(ids.size()));
-    for (SliceId id : ids) {
-      auto [contents, marker] = remove(id);
-      NOWLB_CHECK(contents.size() == slice_len_,
-                  "slice " << id << " resized to " << contents.size());
-      w.put<std::int32_t>(id);
-      w.put<std::int32_t>(marker);
-      w.put_vec(contents);
+  /// Slices moving out of or into an array, as a movement payload's list of
+  /// records (a msg::RecordList). Writing it removes each slice just before
+  /// it is written and frees it right after; reading it adds each slice as
+  /// soon as it is read. So a moved slice is never held twice.
+  class Moving {
+   public:
+    using value_type = Record<>;
+
+    /// The slices `ids` of `from`, to be written.
+    Moving(DistArray& from, std::vector<SliceId> ids)
+        : array_(&from), ids_(std::move(ids)) {}
+    /// An empty list that adds what is read to `into`.
+    explicit Moving(DistArray& into) : array_(&into) {}
+
+    std::size_t size() const { return ids_.size(); }
+    Record<std::span<const T>> record(std::size_t i) const {
+      const Slice& s = array_->held(ids_[i]);
+      return {ids_[i], s.marker, s.data};
     }
-  }
+    Record<> take(std::size_t i) {
+      auto [contents, marker] = array_->remove(ids_[i]);
+      NOWLB_CHECK(contents.size() == array_->slice_len_,
+                  "slice " << ids_[i] << " resized to " << contents.size());
+      return {ids_[i], marker, std::move(contents)};
+    }
+    void reserve(std::size_t n) { ids_.reserve(n); }
+    void read(Record<>&& r) {
+      array_->add(r.id, std::move(r.contents), r.marker);
+      ids_.push_back(r.id);
+    }
+    /// The slices written, or the slices read so far.
+    const std::vector<SliceId>& ids() const& { return ids_; }
+    std::vector<SliceId> ids() && { return std::move(ids_); }
 
+   private:
+    DistArray* array_;
+    std::vector<SliceId> ids_;
+  };
+
+  /// Serialize the given slices (removing them) into a movement payload.
   msg::Bytes pack_and_remove(const std::vector<SliceId>& ids) {
-    msg::Writer w;
-    w.reserve(packed_size(ids.size()));
-    pack_and_remove(ids, w);
-    return w.take();
+    return msg::encode(Moving(*this, ids));
   }
 
-  /// Integrate a movement payload produced by pack_and_remove, read from
-  /// `r`; returns the ids received (already added to the local set).
-  std::vector<SliceId> unpack_and_add(msg::Reader& r) {
-    const auto n = r.get<std::uint32_t>();
-    NOWLB_CHECK(n <= r.remaining() / (2 * sizeof(std::int32_t) +
-                                      sizeof(std::uint64_t)),
-                "movement payload claims " << n << " slices in "
-                                           << r.remaining() << " bytes");
-    std::vector<SliceId> ids;
-    ids.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto id = r.get<std::int32_t>();
-      const auto marker = r.get<std::int32_t>();
-      auto contents = r.get_vec<T>();
-      add(id, std::move(contents), marker);
-      ids.push_back(id);
-    }
-    return ids;
-  }
-
+  /// Integrate a movement payload produced by pack_and_remove; returns the
+  /// ids received (already added to the local set).
   std::vector<SliceId> unpack_and_add(const msg::Bytes& payload) {
-    msg::Reader r(payload);
-    auto ids = unpack_and_add(r);
-    NOWLB_CHECK(r.done(), "movement payload has " << r.remaining()
-                                                  << " trailing bytes");
-    return ids;
+    Moving in(*this);
+    msg::decode(payload, in);
+    return std::move(in).ids();
   }
 
  private:
@@ -198,6 +204,12 @@ class DistArray {
     std::vector<T> data;
     int marker = 0;
   };
+
+  const Slice& held(SliceId id) const {
+    const auto it = slices_.find(id);
+    NOWLB_CHECK(it != slices_.end(), "slice " << id << " not local");
+    return it->second;
+  }
 
   std::size_t slice_len_;
   int check_rank_ = -1;  // < 0: ownership events not reported

@@ -27,17 +27,14 @@ sim::Task<T> locate_fetch(sim::Context& ctx,
                           std::size_t offset) {
   if (arr.owns(slice)) {
     T v = arr.slice(slice).at(offset);
-    msg::Writer w;
-    w.put(v);
-    auto payload = w.take();
+    const auto payload = msg::encode(v);
     for (sim::Pid p : group) {
       if (p != ctx.pid()) co_await ctx.send(p, tag, payload);
     }
     co_return v;
   }
   sim::Message m = co_await ctx.recv(tag, sim::kAnyPid);
-  msg::Reader r(m.payload);
-  co_return r.get<T>();
+  co_return msg::decode<T>(m.payload);
 }
 
 /// Distributed assignment `arr[dst][dst_off] = arr[src][src_off]` where

@@ -517,8 +517,7 @@ Task<> Master::send_instr(int rank, Instructions ins, int decision_round) {
                         {"round", static_cast<double>(ins.round)},
                         {"decision", static_cast<double>(decision_round)});
   }
-  co_await transport_->send(cfg_.slaves[rank], kTagInstr,
-                            msg::encode(ins, ins.encoded_size()));
+  co_await transport_->send(cfg_.slaves[rank], kTagInstr, msg::encode(ins));
 }
 
 void Master::attach_ft(Instructions& ins, int rank) {

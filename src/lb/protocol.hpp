@@ -20,14 +20,13 @@ inline constexpr sim::Tag kTagInstr = 9002;   // master -> slave instructions
 inline constexpr sim::Tag kTagMove = 9003;    // slave -> slave work movement
 inline constexpr sim::Tag kTagAck = 9004;     // transport acknowledgement
 
-// Optional trailers ride behind the classic fixed fields, each introduced
-// by a one-byte marker; decode loops until the payload is exhausted. The
-// fault-tolerance marker value doubles as its legacy presence flag (the ft
-// trailer has always started with the byte 1), so old payloads parse
-// unchanged. With every trailer disabled the wire bytes are bit-identical
-// to the classic format.
+// Optional trailers ride behind the fixed fields, each introduced by a
+// one-byte marker (`a.trailer` in fields()). With every trailer off, the
+// wire bytes are the fixed fields alone. The values are fixed by the byte
+// pins: message sizes feed simulated transfer times.
 inline constexpr std::uint8_t kTrailerFt = 1;      // fault-tolerance census
 inline constexpr std::uint8_t kTrailerCausal = 2;  // causal round context
+static_assert(kTrailerFt != kTrailerCausal, "trailer markers must differ");
 
 /// Slave performance since the last information exchange, measured in the
 /// application-specific unit of "work units per second" — iterations of the
@@ -52,7 +51,7 @@ struct StatusReport {
   /// not participate in further rounds (done-flag termination mode).
   std::uint8_t done = 0;
 
-  // ---- fault-tolerance trailer (absent from the classic wire format) ----
+  // ---- fault-tolerance trailer (heartbeat regime; absent otherwise) ----
   /// Trailer present. Set by slaves running under a heartbeat regime.
   std::uint8_t ft = 0;
   /// Census: the unit ids this slave holds after applying the previous
@@ -67,54 +66,12 @@ struct StatusReport {
   /// this report (0 = none yet): the report's causal parent edge.
   std::int32_t ctx_round = 0;
 
-  /// Exact wire size; pass to msg::encode(v, size_hint) on hot paths.
-  std::size_t encoded_size() const {
-    std::size_t n = sizeof(round) + sizeof(units_done) + sizeof(elapsed_s) +
-                    sizeof(remaining) + sizeof(lb_blocked_s) +
-                    sizeof(move_time_s) + sizeof(moved_units) + sizeof(done);
-    if (ft) {
-      n += sizeof(kTrailerFt) + sizeof(std::uint64_t) +
-           inventory.size() * sizeof(std::int32_t);
-    }
-    if (causal) n += sizeof(kTrailerCausal) + sizeof(ctx_round);
-    return n;
-  }
-
-  void encode(msg::Writer& w) const {
-    w.put(round).put(units_done).put(elapsed_s).put(remaining)
-        .put(lb_blocked_s).put(move_time_s).put(moved_units).put(done);
-    if (ft) {
-      w.put(kTrailerFt);
-      w.put_vec(inventory);
-    }
-    if (causal) {
-      w.put(kTrailerCausal);
-      w.put(ctx_round);
-    }
-  }
-  static StatusReport decode(msg::Reader& r) {
-    StatusReport s;
-    s.round = r.get<std::int32_t>();
-    s.units_done = r.get<double>();
-    s.elapsed_s = r.get<double>();
-    s.remaining = r.get<std::int32_t>();
-    s.lb_blocked_s = r.get<double>();
-    s.move_time_s = r.get<double>();
-    s.moved_units = r.get<std::int32_t>();
-    s.done = r.get<std::uint8_t>();
-    while (r.remaining() > 0) {
-      const auto marker = r.get<std::uint8_t>();
-      if (marker == kTrailerFt) {
-        s.ft = 1;
-        s.inventory = r.get_vec<std::int32_t>();
-      } else if (marker == kTrailerCausal) {
-        s.causal = 1;
-        s.ctx_round = r.get<std::int32_t>();
-      } else {
-        NOWLB_CHECK(false, "StatusReport: unknown trailer marker");
-      }
-    }
-    return s;
+  template <class A>
+  void fields(A& a) {
+    a(round, units_done, elapsed_s, remaining, lb_blocked_s, move_time_s,
+      moved_units, done);
+    a.trailer(kTrailerFt, ft, inventory);
+    a.trailer(kTrailerCausal, causal, ctx_round);
   }
 };
 
@@ -126,19 +83,7 @@ struct MoveOrder {
   std::int32_t peer_rank = 0;
   std::int32_t count = 0;
   std::uint8_t is_send = 0;
-
-  static constexpr std::size_t encoded_size() {
-    return sizeof(peer_rank) + sizeof(count) + sizeof(is_send);
-  }
-
-  void encode(msg::Writer& w) const { w.put(peer_rank).put(count).put(is_send); }
-  static MoveOrder decode(msg::Reader& r) {
-    MoveOrder m;
-    m.peer_rank = r.get<std::int32_t>();
-    m.count = r.get<std::int32_t>();
-    m.is_send = r.get<std::uint8_t>();
-    return m;
-  }
+  template <class A> void fields(A& a) { a(peer_rank, count, is_send); }
 };
 
 /// Master instructions for one slave for one round.
@@ -152,7 +97,7 @@ struct Instructions {
   double units_until_next = 0;
   std::vector<MoveOrder> orders;
 
-  // ---- fault-tolerance trailer (absent from the classic wire format) ----
+  // ---- fault-tolerance trailer (heartbeat regime; absent otherwise) ----
   /// Trailer present.
   std::uint8_t ft = 0;
   /// Ranks evicted since the previous instructions. Recipients must stop
@@ -168,56 +113,11 @@ struct Instructions {
   /// pipelined priming or a pure phase_done notification).
   std::int32_t decision_round = 0;
 
-  /// Exact wire size; pass to msg::encode(v, size_hint) on hot paths.
-  std::size_t encoded_size() const {
-    std::size_t n = sizeof(round) + sizeof(phase_done) +
-                    sizeof(units_until_next) + sizeof(std::uint32_t) +
-                    orders.size() * MoveOrder::encoded_size();
-    if (ft) {
-      n += sizeof(kTrailerFt) + 2 * sizeof(std::uint64_t) +
-           (evicted.size() + adopt.size()) * sizeof(std::int32_t);
-    }
-    if (causal) n += sizeof(kTrailerCausal) + sizeof(decision_round);
-    return n;
-  }
-
-  void encode(msg::Writer& w) const {
-    w.put(round).put(phase_done).put(units_until_next);
-    w.put<std::uint32_t>(static_cast<std::uint32_t>(orders.size()));
-    for (const auto& o : orders) o.encode(w);
-    if (ft) {
-      w.put(kTrailerFt);
-      w.put_vec(evicted);
-      w.put_vec(adopt);
-    }
-    if (causal) {
-      w.put(kTrailerCausal);
-      w.put(decision_round);
-    }
-  }
-  static Instructions decode(msg::Reader& r) {
-    Instructions ins;
-    ins.round = r.get<std::int32_t>();
-    ins.phase_done = r.get<std::uint8_t>();
-    ins.units_until_next = r.get<double>();
-    const auto n = r.get<std::uint32_t>();
-    ins.orders.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-      ins.orders.push_back(MoveOrder::decode(r));
-    while (r.remaining() > 0) {
-      const auto marker = r.get<std::uint8_t>();
-      if (marker == kTrailerFt) {
-        ins.ft = 1;
-        ins.evicted = r.get_vec<std::int32_t>();
-        ins.adopt = r.get_vec<std::int32_t>();
-      } else if (marker == kTrailerCausal) {
-        ins.causal = 1;
-        ins.decision_round = r.get<std::int32_t>();
-      } else {
-        NOWLB_CHECK(false, "Instructions: unknown trailer marker");
-      }
-    }
-    return ins;
+  template <class A>
+  void fields(A& a) {
+    a(round, phase_done, units_until_next, orders);
+    a.trailer(kTrailerFt, ft, evicted, adopt);
+    a.trailer(kTrailerCausal, causal, decision_round);
   }
 };
 
@@ -229,27 +129,27 @@ struct Instructions {
 struct MoveContext {
   std::int32_t round = 0;
   std::int32_t from_rank = -1;
+  template <class A> void fields(A& a) { a(round, from_rank); }
 };
 
-inline sim::Bytes wrap_move(const MoveContext& mc, const sim::Bytes& payload) {
-  msg::Writer w;
-  w.reserve(sizeof(mc.round) + sizeof(mc.from_rank) + sizeof(std::uint64_t) +
-            payload.size());
-  w.put(mc.round).put(mc.from_rank).put_bytes(payload);
-  return w.take();
+/// A kTagMove payload under causal propagation: the context, then the
+/// application payload.
+struct CausalMove {
+  MoveContext context;
+  sim::Bytes payload;
+  template <class A> void fields(A& a) { a(context, payload); }
+};
+
+inline sim::Bytes wrap_move(const MoveContext& mc, sim::Bytes payload) {
+  return msg::encode(CausalMove{mc, std::move(payload)});
 }
 
 /// Inverse of wrap_move: returns the context and replaces `payload` with
 /// the inner application payload.
 inline MoveContext unwrap_move(sim::Bytes& payload) {
-  msg::Reader r(payload);
-  MoveContext mc;
-  mc.round = r.get<std::int32_t>();
-  mc.from_rank = r.get<std::int32_t>();
-  sim::Bytes inner = r.get_bytes();
-  NOWLB_CHECK(r.done(), "kTagMove causal envelope: trailing bytes");
-  payload = std::move(inner);
-  return mc;
+  CausalMove m = msg::decode<CausalMove>(payload);
+  payload = std::move(m.payload);
+  return m.context;
 }
 
 }  // namespace nowlb::lb

@@ -96,8 +96,7 @@ Task<> SlaveAgent::send_report() {
   if (lb_.check != nullptr) {
     lb_.check->on_slave_report(ctx_.now(), rank_, rep);
   }
-  co_await transport_->send(master_, kTagReport,
-                            msg::encode(rep, rep.encoded_size()));
+  co_await transport_->send(master_, kTagReport, msg::encode(rep));
 
   awaiting_instr_ = true;
   units_since_ = 0;
@@ -524,7 +523,7 @@ Task<> SlaveAgent::apply_moves(const std::vector<MoveOrder>& orders) {
       // Under causal propagation, wrap the payload with the ordering round
       // so the receiver attributes the migration even after reordering.
       sim::Bytes out = lb_.causal
-                           ? wrap_move({applying_round_, rank_}, payload)
+                           ? wrap_move({applying_round_, rank_}, std::move(payload))
                            : std::move(payload);
       co_await transport_->send(pid_of(o.peer_rank), kTagMove,
                                 std::move(out));

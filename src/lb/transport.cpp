@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "lb/protocol.hpp"
@@ -82,15 +83,12 @@ sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag, sim::Bytes payload) {
 sim::Message Transport::make_envelope(sim::Pid dst, sim::Tag tag,
                                       std::uint32_t seq,
                                       const sim::Bytes& payload) const {
-  msg::Writer w;
-  w.reserve(sizeof(seq) + sizeof(std::uint64_t) + payload.size());
-  w.put(seq);
-  w.put_bytes(payload);
   sim::Message m;
   m.src = ctx_.pid();
   m.dst = dst;
   m.tag = tag;
-  m.payload = w.take();
+  m.payload =
+      msg::encode(Envelope<std::span<const std::byte>>{seq, payload});
   return m;
 }
 
@@ -102,13 +100,11 @@ void Transport::post_raw(sim::Message m) {
 }
 
 void Transport::send_ack(sim::Pid dst, sim::Tag tag, std::uint32_t seq) {
-  msg::Writer w;
-  w.put(static_cast<std::int32_t>(tag)).put(seq);
   sim::Message ack;
   ack.src = ctx_.pid();
   ack.dst = dst;
   ack.tag = kTagAck;
-  ack.payload = w.take();
+  ack.payload = msg::encode(Ack{tag, seq});
   ++stats_.acks_sent;
   if (m_acks_ != nullptr) m_acks_->inc();
   if (trace_ != nullptr) {
@@ -178,13 +174,11 @@ void Transport::on_timeout(Key k, std::uint32_t seq) {
 
 bool Transport::on_message(sim::Message& m) {
   if (m.tag == kTagAck) {
-    msg::Reader r(m.payload);
-    const sim::Tag tag = r.get<std::int32_t>();
-    const auto seq = r.get<std::uint32_t>();
-    const Key k{m.src, tag};
+    const auto ack = msg::decode<Ack>(m.payload);
+    const Key k{m.src, ack.tag};
     auto it = pending_.find(k);
     if (it != pending_.end()) {
-      auto jt = it->second.find(seq);
+      auto jt = it->second.find(ack.seq);
       if (jt != it->second.end()) {
         ctx_.world().engine().cancel(jt->second.timer);
         it->second.erase(jt);
@@ -198,9 +192,7 @@ bool Transport::on_message(sim::Message& m) {
     if (m_swallowed_ != nullptr) m_swallowed_->inc();
     return true;
   }
-  msg::Reader r(m.payload);
-  const auto seq = r.get<std::uint32_t>();
-  sim::Bytes payload = r.get_bytes();
+  auto [seq, payload] = msg::decode<Envelope<>>(m.payload);
   // Ack every arrival, duplicates included: the first ack may have been
   // lost and the peer is still retransmitting.
   send_ack(m.src, m.tag, seq);

@@ -82,6 +82,19 @@ class Transport {
     sim::Tag tag;
     auto operator<=>(const Key&) const = default;
   };
+  /// A reliable message on the wire; the sender borrows the payload.
+  template <class Payload = sim::Bytes>
+  struct Envelope {
+    std::uint32_t seq = 0;
+    Payload payload;
+    template <class A> void fields(A& a) { a(seq, payload); }
+  };
+  /// An acknowledgement: the tag and sequence number it answers.
+  struct Ack {
+    std::int32_t tag = 0;
+    std::uint32_t seq = 0;
+    template <class A> void fields(A& a) { a(tag, seq); }
+  };
   struct Pending {
     /// Application payload only; the envelope (seq prefix + length) is
     /// rebuilt byte-identically on retransmit, so the retained state is

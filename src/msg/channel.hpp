@@ -1,6 +1,5 @@
-// Typed point-to-point messaging on top of sim::Context.
+// Typed receives on top of sim::Context.
 //
-//   co_await msg::send(ctx, dst, kTagReport, report);     // encodes + sends
 //   Report r = co_await msg::recv<Report>(ctx, kTagReport);
 #pragma once
 
@@ -16,21 +15,15 @@ using sim::Pid;
 using sim::Tag;
 using nowlb::Task;
 
-/// Encode `value` and send it to `dst` with `tag`.
-template <Encodable T>
-Task<> send(Context& ctx, Pid dst, Tag tag, const T& value) {
-  co_await ctx.send(dst, tag, encode(value));
-}
-
 /// Receive a message with `tag` (optionally from `src`) and decode it.
-template <Decodable T>
+template <typename T>
 Task<T> recv(Context& ctx, Tag tag, Pid src = sim::kAnyPid) {
   Message m = co_await ctx.recv(tag, src);
   co_return decode<T>(m.payload);
 }
 
 /// Receive and decode, also reporting the sender.
-template <Decodable T>
+template <typename T>
 Task<std::pair<Pid, T>> recv_from_any(Context& ctx, Tag tag) {
   Message m = co_await ctx.recv(tag, sim::kAnyPid);
   co_return std::pair<Pid, T>(m.src, decode<T>(m.payload));

@@ -171,8 +171,8 @@ double protocol_roundtrip(const BenchOptions&,
   std::size_t sink = 0;
   const double t0 = wall_seconds();
   for (int i = 0; i < iters; ++i) {
-    const auto rb = msg::encode(rep, rep.encoded_size());
-    const auto ib = msg::encode(ins, ins.encoded_size());
+    const auto rb = msg::encode(rep);
+    const auto ib = msg::encode(ins);
     sink += msg::decode<lb::StatusReport>(rb).inventory.size();
     sink += msg::decode<lb::Instructions>(ib).orders.size();
   }

@@ -243,34 +243,44 @@ TEST(DistArray, StaircaseRejectsRisingMarkersAndGaps) {
   EXPECT_FALSE(gap.is_staircase());
 }
 
+// A message that carries a slice list behind a header, as SOR's moves do.
+struct Headed {
+  std::uint8_t header = 0;
+  DistArray<double>::Moving slices;
+
+  template <class A>
+  void fields(A& a) {
+    a(header, slices);
+  }
+};
+
 TEST(DistArray, PackIntoWriterAppendsExactlyThePayload) {
   auto a = staircase();
   auto b = staircase();
   const std::vector<SliceId> ids = {12, 13, 14};
   const Bytes expected = a.pack_and_remove(ids);
-  EXPECT_EQ(expected.size(), a.packed_size(ids.size()));
 
-  msg::Writer w;
-  w.put<std::uint8_t>(0xAB);  // a header already in the buffer stays put
-  b.pack_and_remove(ids, w);
-  const Bytes got = w.take();
+  const Headed h{0xAB, DistArray<double>::Moving(b, ids)};
+  EXPECT_EQ(msg::encoded_size(h.slices), expected.size());
+  const Bytes got = msg::encode(h);  // removes each slice once written
   ASSERT_EQ(got.size(), 1 + expected.size());
   EXPECT_EQ(got[0], std::byte{0xAB});
   EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin() + 1));
   EXPECT_EQ(b.owned_ids(), (std::vector<SliceId>{10, 11}));
-  EXPECT_EQ(a.packed_size(0), sizeof(std::uint32_t));
+  EXPECT_EQ(msg::encoded_size(DistArray<double>::Moving(b)),
+            sizeof(std::uint32_t));
 }
 
 TEST(DistArray, UnpackFromReaderRestoresSlicesAndConsumesPayload) {
   auto src = staircase();
-  msg::Writer w;
-  src.pack_and_remove({12, 13, 14}, w);
-  const Bytes payload = w.take();
+  const Bytes payload =
+      msg::encode(Headed{0xAB, DistArray<double>::Moving(src, {12, 13, 14})});
 
   DistArray<double> dst(2);
-  msg::Reader r(payload);
-  EXPECT_EQ(dst.unpack_and_add(r), (std::vector<SliceId>{12, 13, 14}));
-  EXPECT_TRUE(r.done());
+  Headed h{0, DistArray<double>::Moving(dst)};
+  msg::decode(payload, h);  // throws unless fully consumed
+  EXPECT_EQ(h.header, 0xAB);
+  EXPECT_EQ(h.slices.ids(), (std::vector<SliceId>{12, 13, 14}));
   EXPECT_EQ(markers_of(dst), (std::vector<int>{3, 3, 3}));
   EXPECT_EQ(dst.slice(13), (std::vector<double>{3.0, -1.0}));
 }
@@ -284,9 +294,8 @@ TEST(DistArray, UnpackBytesRejectsTrailingBytes) {
 }
 
 TEST(DistArray, UnpackRejectsSliceCountBeyondPayload) {
-  msg::Writer w;
-  w.put<std::uint32_t>(std::numeric_limits<std::uint32_t>::max());
-  const Bytes payload = w.take();
+  const Bytes payload =
+      msg::encode(std::numeric_limits<std::uint32_t>::max());
   DistArray<double> dst(2);
   EXPECT_THROW(dst.unpack_and_add(payload), CheckFailure);
 }

@@ -82,14 +82,11 @@ RunResult run_scenario(const Scenario& sc) {
                                    int) -> Task<std::pair<sim::Bytes, int>> {
                 const int actual = std::min(count, units[rank]);
                 units[rank] -= actual;
-                msg::Writer wr;
-                wr.put(actual);
-                co_return std::make_pair(wr.take(), actual);
+                co_return std::make_pair(msg::encode(actual), actual);
               };
               ops.unpack = [&, rank](const sim::Bytes& b,
                                      int peer) -> Task<int> {
-                msg::Reader r(b);
-                const int c = r.get<int>();
+                const int c = msg::decode<int>(b);
                 units[rank] += c;
                 result.received_from[rank * n + peer] += c;
                 co_return c;

@@ -14,16 +14,9 @@ using sim::Pid;
 using sim::Task;
 using sim::World;
 
-Bytes payload_of(int v) {
-  Writer w;
-  w.put(v);
-  return w.take();
-}
+Bytes payload_of(int v) { return encode(v); }
 
-int value_of(const Bytes& b) {
-  Reader r(b);
-  return r.get<int>();
-}
+int value_of(const Bytes& b) { return decode<int>(b); }
 
 class CollectivesTest : public ::testing::Test {
  protected:
@@ -109,9 +102,7 @@ TEST_F(CollectivesTest, GatherRejectsOutsiders) {
     co_return;
   }, /*essential=*/false);
   w.spawn(h2, "outsider", [](Context& ctx) -> Task<> {
-    Writer wtr;
-    wtr.put(99);
-    co_await ctx.send(0, 45, wtr.take());
+    co_await ctx.send(0, 45, payload_of(99));
   });
   w.run();
 }
