@@ -1,16 +1,20 @@
 // Trace bus and Chrome trace_event exporter: event capture, capacity cap,
 // JSON structure (metadata, instants, complete spans, escaping), monotonic
-// timestamps, pid/tid -> host/lane mapping, and the zero-perturbation
+// timestamps, pid/tid -> host/lane mapping, pins of the bytes the
+// recorder writes for four runs, and the zero-perturbation
 // guarantee (attaching the recorder never changes the dispatched event
 // sequence of a simulation).
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "check/scenario.hpp"
 #include "exp/harness.hpp"
+#include "load/generators.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
@@ -148,10 +152,81 @@ TEST(TraceBus, SamplingZeroDropsTheCategoryAndClearRearms) {
   EXPECT_EQ(bus.events().size(), 2u);  // kept the 1st and 3rd again
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Everything the recorder wrote: the Chrome trace, the Prometheus dump
+/// and the explained decision ledger, concatenated.
+std::string recorder_output(const obs::Observability& hub) {
+  std::ostringstream os;
+  obs::write_chrome_trace(os, hub.trace);
+  os << hub.metrics.prometheus_text() << hub.ledger.explain();
+  return os.str();
+}
+
+// Pins every byte the flight recorder writes, so a change to how the
+// runtime reports its events cannot alter a trace event, a metric or a
+// ledger line unnoticed. MM seed 14 under message faults and a crash
+// covers eviction, orphan adoption, moves, duplicates, gave-up and held
+// arrivals; SOR covers restricted movement under faults; LU the
+// done-flag protocol; the harness run turns causal trailers on.
+TEST(RecorderPin, OutputBytesAreUnchanged) {
+  check::FaultPlan lossy;
+  lossy.drop_rate = 0.05;
+  lossy.dup_rate = 0.02;
+  lossy.reorder_delay = 500 * sim::kMicrosecond;
+  check::FaultPlan crash = lossy;
+  crash.kill_rank = 1;
+  crash.kill_round = 3;
+  struct Pin {
+    check::App app;
+    std::uint64_t seed;
+    check::FaultPlan plan;
+    std::size_t events;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {check::App::kMm, 14, crash, 561, 0x77c0bc8349164feeull},
+      {check::App::kSor, 3, lossy, 1394, 0x37892569b626114cull},
+      {check::App::kLu, 5, {}, 434, 0x534f967d369334cdull},
+  };
+  for (const Pin& pin : pins) {
+    check::Scenario sc = check::generate_scenario(pin.seed, pin.app);
+    check::apply_fault_plan(sc, pin.plan);
+    obs::Observability hub;
+    const check::FuzzResult res =
+        check::run_scenario(sc, check::InvariantSet::Fault::kNone, &hub);
+    EXPECT_TRUE(res.ok) << sc.describe();
+    EXPECT_EQ(hub.trace.events().size(), pin.events) << sc.describe();
+    EXPECT_EQ(fnv1a(recorder_output(hub)), pin.hash) << sc.describe();
+  }
+
+  obs::Observability hub;
+  apps::MmConfig mm;
+  mm.n = 160;
+  exp::ExperimentConfig cfg;
+  cfg.slaves = 4;
+  cfg.world = exp::paper_world();
+  cfg.lb = exp::paper_lb();
+  cfg.lb.causal = true;
+  cfg.loads.push_back({0, [] { return load::constant(); }});
+  cfg.obs = &hub;
+  exp::run_mm(mm, cfg);
+  EXPECT_EQ(hub.trace.events().size(), 442u);
+  EXPECT_EQ(fnv1a(recorder_output(hub)), 0x21b81250ad5a275bull);
+}
+
 // The acceptance property: a seeded run dispatches the bit-identical
 // event sequence with the flight recorder attached and without.
 TEST(ZeroPerturbation, TraceHashIsIdenticalWithRecorderAttached) {
-  for (const check::App app : {check::App::kMm, check::App::kSor}) {
+  for (const check::App app :
+       {check::App::kMm, check::App::kSor, check::App::kLu}) {
     const check::Scenario sc = check::generate_scenario(11, app);
     const check::FuzzResult bare = check::run_scenario(sc);
     obs::Observability hub;
