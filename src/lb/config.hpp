@@ -9,7 +9,7 @@
 
 namespace nowlb::lb {
 
-class RuntimeHooks;
+class EventSink;
 
 using sim::Time;
 
@@ -109,11 +109,11 @@ struct LbConfig {
   Time heartbeat_timeout = 0;
   bool fault_tolerance() const { return heartbeat_timeout > 0; }
 
-  /// Optional runtime event hooks (lb/hooks.hpp); src/check's
-  /// InvariantSet implements them. Master and slaves report every
-  /// protocol event to it; null disables all reporting. Not owned; must
+  /// Optional subscriber to the protocol-event stream (lb/events.hpp);
+  /// src/check's InvariantSet. Master, slaves and transports report every
+  /// event a checker reads to it; null disables checking. Not owned; must
   /// outlive the run.
-  RuntimeHooks* check = nullptr;
+  EventSink* check = nullptr;
 };
 
 }  // namespace nowlb::lb

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "lb/config.hpp"
+#include "lb/events.hpp"
 #include "lb/filter.hpp"
 #include "lb/frequency.hpp"
 #include "lb/plan.hpp"
@@ -27,13 +28,6 @@
 #include "obs/ledger.hpp"
 #include "sim/context.hpp"
 #include "sim/task.hpp"
-
-namespace nowlb::obs {
-struct Observability;
-class Counter;
-class Gauge;
-class Histogram;
-}  // namespace nowlb::obs
 
 namespace nowlb::lb {
 
@@ -133,20 +127,18 @@ class Master {
   /// Gate + plan movement for the current remaining distribution, updating
   /// stats and the decision ledger.
   Decision make_decision(const std::vector<int>& remaining);
-  /// Publish one decision-ledger record (and the lb.decision trace
-  /// instant) for the round just counted in stats_.rounds. Exactly one
-  /// record is published per report collection, so the ledger explains
-  /// every balancing round, including phase wind-down and frozen ones.
-  void publish_round(obs::Gate gate, const char* reason,
-                     const std::vector<int>& remaining, const Decision* d);
-  /// Histogram + span for the master-side round latency (end of report
-  /// collection to instructions sent).
-  void note_round_span(sim::Time t0);
+  /// Report the outcome of the collection just counted in stats_.rounds.
+  /// Exactly one RoundClosed is emitted per report collection, so the
+  /// decision ledger explains every balancing round, including phase
+  /// wind-down and frozen ones.
+  void close_round(obs::Gate gate, const char* reason,
+                   const std::vector<int>& remaining, const Decision* d);
   double initial_window_units(int rank) const;
   int rank_of(sim::Pid pid) const;
 
   sim::Context& ctx_;
   MasterConfig cfg_;
+  Observers events_;
   /// Reports that arrived one round early (an idle slave can start round
   /// r+1 while slower slaves are still in round r); keyed implicitly by
   /// arrival order, bounded by one per slave.
@@ -161,18 +153,6 @@ class Master {
   double move_cost_per_unit_s_;
   MasterStats local_stats_;
   MasterStats& stats_;
-
-  // ---- flight recorder (src/obs; null when no hub is attached) ----
-  obs::Observability* obs_ = nullptr;
-  obs::Counter* m_rounds_ = nullptr;
-  obs::Counter* m_moves_ordered_ = nullptr;
-  obs::Counter* m_units_moved_ = nullptr;
-  obs::Counter* m_cancel_thresh_ = nullptr;
-  obs::Counter* m_cancel_profit_ = nullptr;
-  obs::Counter* m_evictions_ = nullptr;
-  obs::Counter* m_orphans_ = nullptr;
-  obs::Gauge* m_period_ = nullptr;
-  obs::Histogram* m_round_hist_ = nullptr;
 
   // ---- fault tolerance (DESIGN.md §9) ----
   std::unique_ptr<Transport> transport_;

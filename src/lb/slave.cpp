@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "lb/hooks.hpp"
 #include "msg/channel.hpp"
-#include "obs/obs.hpp"
 #include "sim/world.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -24,6 +22,7 @@ SlaveAgent::SlaveAgent(sim::Context& ctx, sim::Pid master, int rank,
       slave_pids_(std::move(slave_pids)),
       lb_(lb),
       ops_(std::move(ops)),
+      events_(ctx, lb.check),
       until_next_(std::max(1.0, first_window_units)) {
   NOWLB_CHECK(ops_.remaining && ops_.pack && ops_.unpack,
               "WorkOps must be fully populated");
@@ -34,7 +33,6 @@ SlaveAgent::SlaveAgent(sim::Context& ctx, sim::Pid master, int rank,
   transport_ = std::make_unique<Transport>(
       ctx_, lb_.transport,
       std::vector<sim::Tag>{kTagReport, kTagInstr, kTagMove}, lb_.check);
-  if (obs::Observability* o = ctx_.world().obs()) trace_ = &o->trace;
 }
 
 void SlaveAgent::begin_phase() {
@@ -80,22 +78,7 @@ Task<> SlaveAgent::send_report() {
                          << rep.elapsed_s << " blocked="
                          << to_seconds(window_blocked) << " remaining="
                          << rep.remaining;
-  if (trace_ != nullptr) {
-    trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "lb",
-                    "slave.report", {"rank", static_cast<double>(rank_)},
-                    {"round", static_cast<double>(round_)},
-                    {"remaining", static_cast<double>(rep.remaining)});
-    // The measurement window this report closes: compute time is the span
-    // minus the blocked share. Emitted from locally-known state, so it
-    // needs no wire change and holds under the bit-identical goldens.
-    trace_->complete(window_start_, t0, ctx_.host_id(), ctx_.pid(), "cz",
-                     "cz.window", {"rank", static_cast<double>(rank_)},
-                     {"round", static_cast<double>(round_)},
-                     {"blocked", to_seconds(window_blocked)});
-  }
-  if (lb_.check != nullptr) {
-    lb_.check->on_slave_report(ctx_.now(), rank_, rep);
-  }
+  events_.emit(ReportSent{rank_, rep, window_start_, window_blocked});
   co_await transport_->send(master_, kTagReport, msg::encode(rep));
 
   awaiting_instr_ = true;
@@ -123,15 +106,7 @@ Task<> SlaveAgent::handle_instr(const Instructions& ins) {
 Task<> SlaveAgent::apply_instr_body(const Instructions& ins) {
   applying_round_ = ins.round;
   last_applied_round_ = ins.round;
-  if (trace_ != nullptr) {
-    trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "lb",
-                    "slave.instr", {"rank", static_cast<double>(rank_)},
-                    {"round", static_cast<double>(ins.round)},
-                    {"phase_done", ins.phase_done ? 1.0 : 0.0});
-  }
-  if (lb_.check != nullptr) {
-    lb_.check->on_slave_instructions(ctx_.now(), rank_, ins);
-  }
+  events_.emit(InstructionsApplied{rank_, ins});
   if (ins.ft && (!ins.evicted.empty() || !ins.adopt.empty())) {
     co_await handle_ft(ins);
   }
@@ -174,16 +149,8 @@ Task<> SlaveAgent::handle_ft(const Instructions& ins) {
   }
   if (!ins.adopt.empty()) {
     const sim::Time t0 = ctx_.now();
-    if (trace_ != nullptr) {
-      trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "lb",
-                      "slave.adopt",
-                      {"units", static_cast<double>(ins.adopt.size())});
-    }
     co_await ops_.adopt(ins.adopt);
-    if (lb_.check != nullptr) {
-      std::vector<int> ids(ins.adopt.begin(), ins.adopt.end());
-      lb_.check->on_adopted(ctx_.now(), rank_, ids);
-    }
+    events_.emit(Adopted{rank_, ins.adopt, t0});
     move_time_accum_ += ctx_.now() - t0;
     NOWLB_LOG(Info, "lb") << "rank " << rank_ << " adopted "
                           << ins.adopt.size() << " orphaned units";
@@ -288,11 +255,7 @@ Task<> SlaveAgent::finalize() {
 void SlaveAgent::note_blocked_span(sim::Time w0) {
   const Time now = ctx_.now();
   app_blocked_accum_ += now - w0;
-  if (trace_ != nullptr && now > w0) {
-    trace_->complete(w0, now, ctx_.host_id(), ctx_.pid(), "cz", "cz.blocked",
-                     {"rank", static_cast<double>(rank_)},
-                     {"round", static_cast<double>(round_)});
-  }
+  if (now > w0) events_.emit(Blocked{rank_, round_, w0});
 }
 
 Task<> SlaveAgent::integrate_move(const MoveOrder& order, std::int32_t round,
@@ -308,23 +271,11 @@ Task<> SlaveAgent::integrate_move(const MoveOrder& order, std::int32_t round,
   }
   co_await ctx_.compute(ctx_.world().config().msg.recv_overhead);
   const int actual = co_await ops_.unpack(m.payload, order.peer_rank);
-  if (lb_.check != nullptr) {
-    lb_.check->on_units_unpacked(ctx_.now(), rank_, order.peer_rank,
-                                 order.count, actual);
-  }
   moved_units_accum_ += actual;
   units_received_ += actual;
   move_time_accum_ += ctx_.now() - t0;
-  if (trace_ != nullptr) {
-    trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "lb",
-                    "slave.move_recv",
-                    {"from", static_cast<double>(order.peer_rank)},
-                    {"units", static_cast<double>(actual)});
-    trace_->complete(t0, ctx_.now(), ctx_.host_id(), ctx_.pid(), "cz",
-                     "cz.move_recv", {"rank", static_cast<double>(rank_)},
-                     {"from", static_cast<double>(order.peer_rank)},
-                     {"round", static_cast<double>(round)});
-  }
+  events_.emit(UnitsUnpacked{rank_, order.peer_rank, order.count, actual,
+                             round, t0});
   NOWLB_LOG(Debug, "lb") << "rank " << rank_ << " received " << actual
                          << " units from rank " << order.peer_rank;
 }
@@ -506,18 +457,9 @@ Task<> SlaveAgent::apply_moves(const std::vector<MoveOrder>& orders) {
       const int want = std::min(o.count, ops_.remaining());
       auto [payload, actual] = co_await ops_.pack(want, o.peer_rank);
       NOWLB_CHECK(actual <= o.count);
-      if (lb_.check != nullptr) {
-        lb_.check->on_units_packed(ctx_.now(), rank_, o.peer_rank, o.count,
-                                   actual);
-      }
       moved_units_accum_ += actual;
       units_sent_ += actual;
-      if (trace_ != nullptr) {
-        trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "lb",
-                        "slave.move_send",
-                        {"to", static_cast<double>(o.peer_rank)},
-                        {"units", static_cast<double>(actual)});
-      }
+      events_.emit(UnitsPacked{rank_, o.peer_rank, o.count, actual});
       NOWLB_LOG(Debug, "lb") << "rank " << rank_ << " sends " << actual
                              << " units to rank " << o.peer_rank;
       // Under causal propagation, wrap the payload with the ordering round
@@ -528,12 +470,7 @@ Task<> SlaveAgent::apply_moves(const std::vector<MoveOrder>& orders) {
       co_await transport_->send(pid_of(o.peer_rank), kTagMove,
                                 std::move(out));
       move_time_accum_ += ctx_.now() - t0;
-      if (trace_ != nullptr) {
-        trace_->complete(t0, ctx_.now(), ctx_.host_id(), ctx_.pid(), "cz",
-                         "cz.move_send", {"rank", static_cast<double>(rank_)},
-                         {"to", static_cast<double>(o.peer_rank)},
-                         {"round", static_cast<double>(applying_round_)});
-      }
+      events_.emit(MoveSent{rank_, o.peer_rank, applying_round_, t0});
     }
   }
   // Pick up whatever incoming transfers have already arrived.

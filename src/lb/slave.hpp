@@ -23,14 +23,11 @@
 #include <vector>
 
 #include "lb/config.hpp"
+#include "lb/events.hpp"
 #include "lb/protocol.hpp"
 #include "lb/transport.hpp"
 #include "sim/context.hpp"
 #include "sim/task.hpp"
-
-namespace nowlb::obs {
-class TraceBus;
-}  // namespace nowlb::obs
 
 namespace nowlb::lb {
 
@@ -138,8 +135,8 @@ class SlaveAgent {
   /// FIFO: earlier messages match earlier orders).
   bool first_for_peer(std::size_t index) const;
   /// Account a runtime wait that started at `w0` and ended now: add it to
-  /// the blocked accumulator and emit the cz.blocked span (blocked-wait
-  /// attribution in the causal DAG).
+  /// the blocked accumulator and report it (the cz.blocked span of the
+  /// causal DAG).
   void note_blocked_span(sim::Time w0);
   /// Blocking receive of one queued incoming transfer.
   sim::Task<> recv_one_pending();
@@ -164,8 +161,8 @@ class SlaveAgent {
   std::vector<sim::Pid> slave_pids_;
   LbConfig lb_;
   WorkOps ops_;
+  Observers events_;
   std::unique_ptr<Transport> transport_;
-  obs::TraceBus* trace_ = nullptr;  // flight recorder, null when detached
 
   int round_ = 0;              // round of the last report sent
   bool awaiting_instr_ = false;

@@ -7,37 +7,19 @@
 
 #include "lb/protocol.hpp"
 #include "msg/serialize.hpp"
-#include "obs/obs.hpp"
 #include "sim/world.hpp"
 #include "util/log.hpp"
 
 namespace nowlb::lb {
 
 Transport::Transport(sim::Context& ctx, TransportConfig cfg,
-                     std::vector<sim::Tag> reliable_tags,
-                     RuntimeHooks* check)
+                     std::vector<sim::Tag> reliable_tags, EventSink* check)
     : ctx_(ctx),
       cfg_(cfg),
       tags_(std::move(reliable_tags)),
-      check_(check),
+      events_(ctx, check),
       alive_(std::make_shared<bool>(true)) {
   if (!cfg_.enabled) return;
-  if (obs::Observability* o = ctx_.world().obs()) {
-    trace_ = &o->trace;
-    auto& m = o->metrics;
-    m_sent_ = &m.counter("transport_sent", "Reliable messages sent");
-    m_retransmits_ =
-        &m.counter("transport_retransmits", "Timeout retransmissions");
-    m_acks_ = &m.counter("transport_acks_sent", "Acknowledgements sent");
-    m_dups_ = &m.counter("transport_dups_suppressed",
-                         "Duplicate deliveries suppressed");
-    m_held_ = &m.counter("transport_held_reordered",
-                         "Out-of-order arrivals held for the gap to close");
-    m_gave_up_ =
-        &m.counter("transport_gave_up", "Messages abandoned after max retries");
-    m_swallowed_ = &m.counter("transport_swallowed_from_dead",
-                              "Arrivals swallowed from blackholed peers");
-  }
   ctx_.process().mailbox().set_tap(
       [this](sim::Message& m) { return on_message(m); });
   // A crashed host stops transmitting: cancel every retransmit timer the
@@ -75,7 +57,7 @@ sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag, sim::Bytes payload) {
   Pending& p = pending_[k][seq];
   p.payload = std::move(payload);
   ++stats_.sent;
-  if (m_sent_ != nullptr) m_sent_->inc();
+  events_.emit(TransportEvent{.kind = TransportEvent::kSent});
   post_raw(std::move(m));
   arm_timer(k, seq);
 }
@@ -106,13 +88,8 @@ void Transport::send_ack(sim::Pid dst, sim::Tag tag, std::uint32_t seq) {
   ack.tag = kTagAck;
   ack.payload = msg::encode(Ack{tag, seq});
   ++stats_.acks_sent;
-  if (m_acks_ != nullptr) m_acks_->inc();
-  if (trace_ != nullptr) {
-    trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "tx", "tx.ack",
-                    {"tag", static_cast<double>(tag)},
-                    {"seq", static_cast<double>(seq)},
-                    {"dst", static_cast<double>(dst)});
-  }
+  events_.emit(TransportEvent{
+      .kind = TransportEvent::kAck, .peer = dst, .tag = tag, .seq = seq});
   // Acks are NIC-level: no software overhead, fired straight from the
   // delivery event. They ride the same lossy network as everything else;
   // a lost ack is covered by the peer's retransmit.
@@ -143,31 +120,23 @@ void Transport::on_timeout(Key k, std::uint32_t seq) {
   Pending& p = jt->second;
   if (p.attempts >= cfg_.max_retries) {
     ++stats_.gave_up;
-    if (m_gave_up_ != nullptr) m_gave_up_->inc();
-    if (trace_ != nullptr) {
-      trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "tx",
-                      "tx.gave_up", {"tag", static_cast<double>(k.tag)},
-                      {"seq", static_cast<double>(seq)},
-                      {"peer", static_cast<double>(k.peer)});
-    }
+    events_.emit(TransportEvent{.kind = TransportEvent::kGaveUp,
+                                .peer = k.peer,
+                                .tag = k.tag,
+                                .seq = seq});
     NOWLB_LOG(Debug, "lb.transport")
         << "pid " << ctx_.pid() << " gave up on tag " << k.tag << " seq "
         << seq << " -> pid " << k.peer;
-    if (check_) {
-      check_->on_transport_gave_up(ctx_.now(), ctx_.pid(), k.peer, k.tag);
-    }
     it->second.erase(jt);
     return;
   }
   ++p.attempts;
   ++stats_.retransmits;
-  if (m_retransmits_ != nullptr) m_retransmits_->inc();
-  if (trace_ != nullptr) {
-    trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "tx",
-                    "tx.retransmit", {"tag", static_cast<double>(k.tag)},
-                    {"seq", static_cast<double>(seq)},
-                    {"attempt", static_cast<double>(p.attempts)});
-  }
+  events_.emit(TransportEvent{.kind = TransportEvent::kRetransmit,
+                              .peer = k.peer,
+                              .tag = k.tag,
+                              .seq = seq,
+                              .attempt = p.attempts});
   post_raw(make_envelope(k.peer, k.tag, seq, p.payload));
   arm_timer(k, seq);
 }
@@ -189,7 +158,8 @@ bool Transport::on_message(sim::Message& m) {
   if (!reliable(m.tag)) return false;
   if (blackholed(m.src)) {
     ++stats_.swallowed_from_dead;
-    if (m_swallowed_ != nullptr) m_swallowed_->inc();
+    events_.emit(
+        TransportEvent{.kind = TransportEvent::kSwallowed, .peer = m.src});
     return true;
   }
   auto [seq, payload] = msg::decode<Envelope<>>(m.payload);
@@ -200,7 +170,7 @@ bool Transport::on_message(sim::Message& m) {
   std::uint32_t& expect = next_recv_seq_[k];
   if (seq < expect) {
     ++stats_.dups_suppressed;
-    if (m_dups_ != nullptr) m_dups_->inc();
+    events_.emit(TransportEvent{.kind = TransportEvent::kDuplicate});
     return true;
   }
   sim::Message stripped;
@@ -212,10 +182,10 @@ bool Transport::on_message(sim::Message& m) {
     // Gap: hold until the missing predecessors arrive (retransmission).
     if (held_[k].emplace(seq, std::move(stripped)).second) {
       ++stats_.held_reordered;
-      if (m_held_ != nullptr) m_held_->inc();
+      events_.emit(TransportEvent{.kind = TransportEvent::kHeld});
     } else {
       ++stats_.dups_suppressed;
-      if (m_dups_ != nullptr) m_dups_->inc();
+      events_.emit(TransportEvent{.kind = TransportEvent::kDuplicate});
     }
     return true;
   }
@@ -236,14 +206,12 @@ bool Transport::on_message(sim::Message& m) {
 
 void Transport::deliver_async(sim::Message m, std::uint32_t seq) {
   sim::Mailbox* mb = &ctx_.process().mailbox();
-  RuntimeHooks* check = check_;
-  const sim::Pid src = m.src;
-  const sim::Pid dst = m.dst;
-  const int tag = m.tag;
+  EventSink* check = events_.check();
+  const Delivered ev{m.src, m.dst, m.tag, seq};
   const sim::Time t = ctx_.now();
   ctx_.world().engine().schedule_at(
-      t, [mb, check, src, dst, tag, seq, t, msg = std::move(m)]() mutable {
-        if (check) check->on_transport_deliver(t, src, dst, tag, seq);
+      t, [mb, check, ev, t, msg = std::move(m)]() mutable {
+        if (check) check->on(t, ev);
         mb->deliver(std::move(msg));
       });
 }
@@ -263,10 +231,7 @@ sim::Task<> Transport::drain() {
   const sim::Time t0 = ctx_.now();
   const bool waited = has_pending();
   while (has_pending()) co_await ctx_.sleep(cfg_.rto / 2);
-  if (waited && trace_ != nullptr) {
-    trace_->complete(t0, ctx_.now(), ctx_.host_id(), ctx_.pid(), "tx",
-                     "tx.drain");
-  }
+  if (waited) events_.emit(Drained{t0});
 }
 
 void Transport::cancel_all_timers() {
@@ -279,10 +244,7 @@ void Transport::cancel_all_timers() {
 
 void Transport::blackhole(sim::Pid pid) {
   if (!dead_.insert(pid).second) return;
-  if (trace_ != nullptr) {
-    trace_->instant(ctx_.now(), ctx_.host_id(), ctx_.pid(), "tx",
-                    "tx.blackhole", {"peer", static_cast<double>(pid)});
-  }
+  events_.emit(TransportEvent{.kind = TransportEvent::kBlackhole, .peer = pid});
   sim::Engine& eng = ctx_.world().engine();
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->first.peer == pid) {

@@ -23,16 +23,11 @@
 #include <vector>
 
 #include "lb/config.hpp"
-#include "lb/hooks.hpp"
+#include "lb/events.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
 #include "sim/task.hpp"
-
-namespace nowlb::obs {
-class TraceBus;
-class Counter;
-}  // namespace nowlb::obs
 
 namespace nowlb::lb {
 
@@ -51,7 +46,7 @@ class Transport {
   /// Installs the mailbox tap (when enabled). `reliable_tags` is the set
   /// of tags to envelope/ack; `check` may be null.
   Transport(sim::Context& ctx, TransportConfig cfg,
-            std::vector<sim::Tag> reliable_tags, RuntimeHooks* check);
+            std::vector<sim::Tag> reliable_tags, EventSink* check);
   ~Transport();
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
@@ -114,7 +109,8 @@ class Transport {
   void on_timeout(Key k, std::uint32_t seq);
   /// Hand a stripped message to the application via an engine event:
   /// the resumed coroutine may destroy this transport, so the event
-  /// captures only the mailbox (owned by the process, which outlives us).
+  /// captures only the mailbox (owned by the process, which outlives us)
+  /// and the invariant set it reports the delivery to.
   void deliver_async(sim::Message m, std::uint32_t seq);
   void cancel_all_timers();
   bool reliable(sim::Tag tag) const;
@@ -122,18 +118,8 @@ class Transport {
   sim::Context& ctx_;
   TransportConfig cfg_;
   std::vector<sim::Tag> tags_;
-  RuntimeHooks* check_;
-
-  // ---- flight recorder (cached from the world's hub; null when off or
-  // when the transport is disabled) ----
-  obs::TraceBus* trace_ = nullptr;
-  obs::Counter* m_sent_ = nullptr;
-  obs::Counter* m_retransmits_ = nullptr;
-  obs::Counter* m_acks_ = nullptr;
-  obs::Counter* m_dups_ = nullptr;
-  obs::Counter* m_held_ = nullptr;
-  obs::Counter* m_gave_up_ = nullptr;
-  obs::Counter* m_swallowed_ = nullptr;
+  /// Owned here, not borrowed from the agent, which may move.
+  Observers events_;
   /// Expires in the destructor so the process kill hook, which cannot be
   /// deregistered, becomes a no-op once the transport is gone.
   std::shared_ptr<bool> alive_;

@@ -8,6 +8,7 @@
 #include "check/checkers.hpp"
 #include "check/invariant.hpp"
 #include "exp/harness.hpp"
+#include "lb/events.hpp"
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
 
@@ -41,6 +42,14 @@ obs::DecisionRecord moved_record() {
   rec.est_move_cost_s = 0.1;
   rec.period_s = 0.5;
   return rec;
+}
+
+/// A completed report collection with no reports, as the master reports
+/// it to the invariant set.
+lb::ReportsCollected collection() {
+  static const std::vector<lb::StatusReport> kNoReports;
+  static const std::vector<bool> kNoMask;
+  return {1, kNoReports, kNoMask};
 }
 
 TEST(DecisionLedger, ExplainLineShowsGateRatesAndMoves) {
@@ -98,7 +107,7 @@ TEST(LedgerChecker, AcceptsConsistentLedger) {
   check::InvariantSet set;
   set.add(std::make_unique<check::LedgerChecker>(&ledger));
   ledger.append(moved_record());
-  set.on_master_reports(0, 1, {}, {});
+  set.on(0, collection());
   set.on_run_end(sim::from_seconds(2.0));
   EXPECT_TRUE(set.ok()) << set.report();
 }
@@ -110,7 +119,7 @@ TEST(LedgerChecker, FlagsMovesThatDoNotAddUp) {
   obs::DecisionRecord bad = moved_record();
   bad.moves = {{0, 1, 5}};  // target - remaining is +/-18, not 5
   ledger.append(bad);
-  set.on_master_reports(0, 1, {}, {});
+  set.on(0, collection());
   set.on_run_end(sim::from_seconds(2.0));
   ASSERT_FALSE(set.ok());
   EXPECT_NE(set.failures()[0].message.find("ordered flow"),
@@ -124,7 +133,7 @@ TEST(LedgerChecker, FlagsCancelledRoundsThatOrderMoves) {
   obs::DecisionRecord bad = moved_record();
   bad.gate = obs::Gate::kBelowThreshold;  // cancelled, but moves remain
   ledger.append(bad);
-  set.on_master_reports(0, 1, {}, {});
+  set.on(0, collection());
   set.on_run_end(sim::from_seconds(2.0));
   ASSERT_FALSE(set.ok());
 }
@@ -133,7 +142,7 @@ TEST(LedgerChecker, FlagsMissingRecords) {
   obs::DecisionLedger ledger;
   check::InvariantSet set;
   set.add(std::make_unique<check::LedgerChecker>(&ledger));
-  set.on_master_reports(0, 1, {}, {});  // a collection with no record
+  set.on(0, collection());  // a collection with no record
   set.on_run_end(sim::from_seconds(1.0));
   ASSERT_FALSE(set.ok());
   EXPECT_NE(set.failures()[0].message.find("report collection"),
@@ -146,7 +155,7 @@ TEST(LedgerChecker, SkipsRecordsFromEarlierRuns) {
   check::InvariantSet set;
   set.add(std::make_unique<check::LedgerChecker>(&ledger));
   ledger.append(moved_record());
-  set.on_master_reports(0, 1, {}, {});
+  set.on(0, collection());
   set.on_run_end(sim::from_seconds(2.0));
   EXPECT_TRUE(set.ok()) << set.report();
 }
