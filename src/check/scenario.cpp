@@ -1,6 +1,7 @@
 #include "check/scenario.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "check/checkers.hpp"
@@ -298,11 +299,19 @@ FuzzResult run_scenario(const Scenario& sc, InvariantSet::Fault fault,
   // it leaves essential processes outstanding, reported below.
   world.engine().schedule_at(sc.time_bound, [&world] { world.engine().stop(); });
 
-  world.run();
+  // A simulated process that throws (a failed NOWLB_CHECK) stops the run;
+  // record it as this seed's failure instead of letting it escape.
+  bool threw = false;
+  try {
+    world.run();
+  } catch (const std::exception& e) {
+    set.record({"process", e.what(), world.now()});
+    threw = true;
+  }
 
   const Time end = world.now();
   const bool terminated = world.essential_remaining() == 0;
-  if (!terminated) {
+  if (!terminated && !threw) {
     std::string stuck;
     for (sim::Pid p = 0; p < static_cast<sim::Pid>(world.process_count());
          ++p) {

@@ -89,12 +89,14 @@ struct FuzzResult {
   std::uint64_t trace_hash = 0;  // engine event-trace hash (determinism)
 };
 
-/// Execute the scenario under all applicable checkers. `fault` corrupts
-/// the observation stream (never the simulated system) to exercise the
-/// failure path. With `obs` set, the flight recorder is attached to the
-/// run (traces, metrics, decision ledger) and a LedgerChecker cross-checks
-/// the ledger arithmetic against the invariant bus; recording never
-/// perturbs the simulation, so the trace hash is identical either way.
+/// Execute the scenario under all applicable checkers. An exception thrown
+/// inside a simulated process ends the run and is recorded as a `process`
+/// failure. `fault` corrupts the observation stream (never the simulated
+/// system) to exercise the failure path. With `obs` set, the flight
+/// recorder is attached to the run (traces, metrics, decision ledger) and
+/// a LedgerChecker cross-checks the ledger arithmetic against the
+/// invariant set; recording never perturbs the simulation, so the trace
+/// hash is identical either way.
 FuzzResult run_scenario(const Scenario& sc,
                         InvariantSet::Fault fault = InvariantSet::Fault::kNone,
                         obs::Observability* obs = nullptr);
