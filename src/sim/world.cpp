@@ -139,7 +139,6 @@ Pid World::spawn(Host& host, std::string name, ProcessBody body,
   Process* raw = proc.get();
   processes_.push_back(std::move(proc));
   engine_.schedule_at(engine_.now(), [raw] { raw->start(); });
-  for (WorldObserver* o : observers_) o->on_spawn(engine_.now(), *raw);
   if (sink_) {
     sink_->name_lane(host.id(), pid, raw->name());
     sink_->instant(engine_.now(), host.id(), pid, "proc", "proc.spawn",
@@ -154,7 +153,6 @@ Time World::cpu_used(Pid pid) const {
 }
 
 void World::on_process_done(Process& p) {
-  for (WorldObserver* o : observers_) o->on_process_done(engine_.now(), p);
   if (sink_) {
     sink_->instant(engine_.now(), p.host().id(), p.pid(), "proc",
                    "proc.done", {"error", p.error() ? 1.0 : 0.0});
@@ -188,7 +186,6 @@ void World::kill(Pid pid) {
   p.mailbox_.close();
   p.host_.remove(p);
   p.finished_ = true;
-  for (WorldObserver* o : observers_) o->on_process_done(engine_.now(), p);
   if (p.essential_) {
     NOWLB_CHECK(essential_outstanding_ > 0);
     if (--essential_outstanding_ == 0) engine_.stop();
