@@ -10,7 +10,7 @@
 using namespace nowlb;
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"reps", "n"});
   const int reps = static_cast<int>(cli.get_int("reps", 2));
 
   apps::LuConfig lu;

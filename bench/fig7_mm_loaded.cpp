@@ -9,7 +9,7 @@
 using namespace nowlb;
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"reps", "max-slaves", "n"});
   const int reps = static_cast<int>(cli.get_int("reps", 3));
   const int max_slaves = static_cast<int>(cli.get_int("max-slaves", 7));
 

@@ -28,7 +28,7 @@ void print_normalized(const char* label, const Series* s, double norm) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"n", "repeats"});
   apps::MmConfig mm;
   mm.n = static_cast<int>(cli.get_int("n", 500));
   // Repeats stretch the run to the paper's ~100 s horizontal axis.

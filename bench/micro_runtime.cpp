@@ -131,4 +131,12 @@ static void BM_FullMmSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_FullMmSimulation);
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, except that an unknown flag exits 2 like every other
+// binary here.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

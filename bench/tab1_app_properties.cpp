@@ -8,6 +8,7 @@
 #include "apps/mm.hpp"
 #include "apps/sor.hpp"
 #include "loop/spec.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 using namespace nowlb;
@@ -16,7 +17,8 @@ namespace {
 const char* yn(bool b) { return b ? "yes" : "no"; }
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const Cli cli(argc, argv, {});  // no flags; answers --help
   apps::MmConfig mm;
   mm.repeats = 8;  // the benchmark multiplies repeatedly
   apps::SorConfig sor;

@@ -17,7 +17,7 @@
 using namespace nowlb;
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"n", "slaves"});
   apps::LuConfig lu;
   lu.n = static_cast<int>(cli.get_int("n", 120));
   lu.real_compute = true;

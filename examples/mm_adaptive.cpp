@@ -14,7 +14,7 @@
 using namespace nowlb;
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"n", "slaves"});
   apps::MmConfig mm;
   mm.n = static_cast<int>(cli.get_int("n", 500));
 

@@ -17,7 +17,7 @@
 using namespace nowlb;
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"slaves", "units"});
   const int slaves = static_cast<int>(cli.get_int("slaves", 3));
   const int units_per_slave = static_cast<int>(cli.get_int("units", 120)) / slaves;
 

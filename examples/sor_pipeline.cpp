@@ -17,7 +17,7 @@
 using namespace nowlb;
 
 int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+  const Cli cli(argc, argv, {"n", "sweeps", "slaves", "oscillate"});
   apps::SorConfig sor;
   sor.n = static_cast<int>(cli.get_int("n", 2000));
   sor.sweeps = static_cast<int>(cli.get_int("sweeps", 20));

@@ -99,42 +99,26 @@ bool apply_log_flag(const std::string& flag) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const nowlb::Cli cli(argc, argv);
   // A misspelled flag must not silently fall back to defaults: a fuzzer
   // that quietly runs the wrong scenario set reports green for nothing.
-  static const char* kKnown[] = {
-      "help", "seeds",        "base", "seed",    "app",
-      "log",  "inject-fault", "verbose",
-      "drop-rate", "dup-rate", "reorder-us", "kill-slave",
-      "trace", "metrics", "explain"};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    const std::string name = arg.substr(2, arg.find('=') - 2);
-    bool known = false;
-    for (const char* k : kKnown) known = known || name == k;
-    if (!known) {
-      std::fprintf(stderr, "unknown flag %s (see --help)\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (cli.has("help")) {
-    std::printf(
-        "usage: nowlb-fuzz [--seeds=N] [--base=B] [--seed=S]\n"
-        "                  [--app=mm|sor|lu|all] [--inject-fault=skip-credit|"
-        "wrong-round]\n"
-        "                  [--drop-rate=P] [--dup-rate=P] [--reorder-us=D]\n"
-        "                  [--kill-slave=RANK@ROUND]  (MM only)\n"
-        "                  [--trace=FILE] [--metrics=FILE] [--explain]\n"
-        "                  [--log=LEVEL|component=LEVEL,...] [--verbose]\n"
-        "\n"
-        "  --trace=FILE    write a Chrome trace_event JSON (Perfetto/\n"
-        "                  about://tracing) of every run in the sweep\n"
-        "  --metrics=FILE  dump the metrics registry as Prometheus text\n"
-        "  --explain       print the decision ledger: one line per\n"
-        "                  balancing round with rates, gate and moves\n");
-    return 0;
-  }
+  const nowlb::Cli cli(
+      argc, argv,
+      {"seeds", "base", "seed", "app", "log", "inject-fault", "verbose",
+       "drop-rate", "dup-rate", "reorder-us", "kill-slave", "trace",
+       "metrics", "explain"},
+      "usage: nowlb-fuzz [--seeds=N] [--base=B] [--seed=S]\n"
+      "                  [--app=mm|sor|lu|all] [--inject-fault=skip-credit|"
+      "wrong-round]\n"
+      "                  [--drop-rate=P] [--dup-rate=P] [--reorder-us=D]\n"
+      "                  [--kill-slave=RANK@ROUND]  (MM only)\n"
+      "                  [--trace=FILE] [--metrics=FILE] [--explain]\n"
+      "                  [--log=LEVEL|component=LEVEL,...] [--verbose]\n"
+      "\n"
+      "  --trace=FILE    write a Chrome trace_event JSON (Perfetto/\n"
+      "                  about://tracing) of every run in the sweep\n"
+      "  --metrics=FILE  dump the metrics registry as Prometheus text\n"
+      "  --explain       print the decision ledger: one line per\n"
+      "                  balancing round with rates, gate and moves\n");
 
   const std::string app_flag = cli.get("app", "all");
   std::vector<App> apps;

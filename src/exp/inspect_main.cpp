@@ -299,38 +299,26 @@ int diff(const LoadedRun& a, const CausalGraph& ga, const std::string& path_b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const nowlb::Cli cli(argc, argv);
-  static const char* kKnown[] = {"help",    "record", "app",    "n",
-                                 "repeats", "slaves", "seed",   "load",
-                                 "no-balance", "report", "json", "top",
-                                 "diff"};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    const std::string name = arg.substr(2, arg.find('=') - 2);
-    bool known = false;
-    for (const char* k : kKnown) known = known || name == k;
-    if (!known) {
-      std::fprintf(stderr, "unknown flag %s (see --help)\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (cli.has("help") || (!cli.has("record") && !cli.has("report"))) {
-    std::printf(
-        "usage: nowlb-inspect --record=FILE [--app=mm|sor] [--n=N]\n"
-        "                     [--repeats=R] [--slaves=P] [--seed=S]\n"
-        "                     [--load=RANK] [--no-balance]\n"
-        "       nowlb-inspect --report=FILE [--json] [--top=K]\n"
-        "       nowlb-inspect --report=FILE --diff=FILE2\n"
-        "\n"
-        "--record runs the experiment with causal tracing enabled and\n"
-        "writes a run file. --report reconstructs the causal round DAG:\n"
-        "per-round time breakdown (compute / blocked / transport /\n"
-        "decision / migration), efficiency series, and the critical\n"
-        "path's top contributors. --diff compares two runs — balancing\n"
-        "on vs off on the same workload reproduces the paper's\n"
-        "efficiency claim as one number.\n");
-    return cli.has("help") ? 0 : 2;
+  const nowlb::Cli cli(
+      argc, argv,
+      {"record", "app", "n", "repeats", "slaves", "seed", "load",
+       "no-balance", "report", "json", "top", "diff"},
+      "usage: nowlb-inspect --record=FILE [--app=mm|sor] [--n=N]\n"
+      "                     [--repeats=R] [--slaves=P] [--seed=S]\n"
+      "                     [--load=RANK] [--no-balance]\n"
+      "       nowlb-inspect --report=FILE [--json] [--top=K]\n"
+      "       nowlb-inspect --report=FILE --diff=FILE2\n"
+      "\n"
+      "--record runs the experiment with causal tracing enabled and\n"
+      "writes a run file. --report reconstructs the causal round DAG:\n"
+      "per-round time breakdown (compute / blocked / transport /\n"
+      "decision / migration), efficiency series, and the critical\n"
+      "path's top contributors. --diff compares two runs — balancing\n"
+      "on vs off on the same workload reproduces the paper's\n"
+      "efficiency claim as one number.\n");
+  if (!cli.has("record") && !cli.has("report")) {
+    std::fputs(cli.usage().c_str(), stdout);
+    return 2;
   }
 
   if (cli.has("record")) return record(cli);

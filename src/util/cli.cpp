@@ -1,23 +1,44 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace nowlb {
 
-Cli::Cli(int argc, const char* const* argv) {
+Cli::Cli(int argc, const char* const* argv, std::vector<std::string> flags,
+         std::string usage)
+    : usage_(std::move(usage)) {
+  if (usage_.empty()) {
+    std::string prog = argc > 0 ? argv[0] : "";
+    usage_ = "usage: " + prog.substr(prog.find_last_of('/') + 1) +
+             " [--flag=value ...]\nflags:";
+    for (const std::string& f : flags) usage_ += " --" + f;
+    usage_ += " --help\n";
+  }
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--help") {
+      std::fputs(usage_.c_str(), stdout);
+      std::exit(0);
+    }
+  }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       positional_.push_back(arg);
       continue;
     }
-    arg = arg.substr(2);
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else {
-      flags_[arg] = "true";  // bare --flag is boolean; values use --name=value
+    const std::string name =
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    if (std::find(flags.begin(), flags.end(), name) == flags.end()) {
+      // A misspelled flag must not silently fall back to a default.
+      std::fprintf(stderr, "unknown flag %s (see --help)\n", arg.c_str());
+      std::exit(2);
     }
+    // A bare --flag is boolean; values use --name=value.
+    flags_[name] = eq == std::string::npos ? "true" : arg.substr(eq + 1);
   }
 }
 

@@ -1,7 +1,10 @@
-// Tiny command-line flag parser for bench and example binaries.
+// Command-line flag parser shared by the repo's binaries.
 //
 // Accepts `--name=value`; bare `--flag` is boolean true; everything else is
-// positional.
+// positional. Each binary declares its flags: any other `--flag` prints an
+// error naming it and exits 2, and `--help` prints the usage text (or a
+// list generated from the declared flags) and exits 0, both before the
+// binary does any work.
 #pragma once
 
 #include <map>
@@ -12,7 +15,11 @@ namespace nowlb {
 
 class Cli {
  public:
-  Cli(int argc, const char* const* argv);
+  /// `flags` names every accepted flag (without the leading `--`).
+  /// `usage`, when non-empty, is printed by --help instead of the list of
+  /// declared flags.
+  Cli(int argc, const char* const* argv, std::vector<std::string> flags,
+      std::string usage = "");
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
@@ -23,9 +30,13 @@ class Cli {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// What --help prints.
+  const std::string& usage() const { return usage_; }
+
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  std::string usage_;
 };
 
 }  // namespace nowlb

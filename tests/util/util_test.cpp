@@ -107,7 +107,7 @@ TEST(AsciiChart, RendersNonEmpty) {
 
 TEST(Cli, ParsesFlagsAndPositionals) {
   const char* argv[] = {"prog", "--n=5", "--rate=2.5", "--verbose", "pos1"};
-  Cli cli(5, argv);
+  Cli cli(5, argv, {"n", "rate", "verbose", "quiet"});
   EXPECT_EQ(cli.get_int("n", 0), 5);
   EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 2.5);
   EXPECT_TRUE(cli.get_bool("verbose", false));
@@ -118,9 +118,29 @@ TEST(Cli, ParsesFlagsAndPositionals) {
 
 TEST(Cli, FallbacksApply) {
   const char* argv[] = {"prog"};
-  Cli cli(1, argv);
+  Cli cli(1, argv, {"missing"});
   EXPECT_EQ(cli.get("missing", "dflt"), "dflt");
   EXPECT_EQ(cli.get_int("missing", 9), 9);
+}
+
+// An undeclared flag exits 2 and names the flag; a misspelling must not
+// silently fall back to a default.
+TEST(CliDeathTest, UnknownFlagExitsTwoNamingIt) {
+  const char* argv[] = {"prog", "--n=5", "--bogus=1"};
+  EXPECT_EXIT(Cli(3, argv, {"n"}), ::testing::ExitedWithCode(2),
+              "unknown flag --bogus=1");
+}
+
+// --help prints the declared flags (or the given usage text) and exits 0
+// before the binary does any work, whatever else is on the line.
+TEST(CliDeathTest, HelpPrintsUsageAndExitsZero) {
+  const char* argv[] = {"/path/to/prog", "--bogus", "--help"};
+  EXPECT_EXIT(Cli(3, argv, {"n"}), ::testing::ExitedWithCode(0), "");
+  const char* none[] = {"/path/to/prog"};
+  EXPECT_EQ(Cli(1, none, {"n", "slaves"}).usage(),
+            "usage: prog [--flag=value ...]\nflags: --n --slaves --help\n");
+  EXPECT_EQ(Cli(1, none, {"n"}, "usage: prog --n=N\n").usage(),
+            "usage: prog --n=N\n");
 }
 
 /// Scoped fixture: captures log output and restores every global knob.
