@@ -1,12 +1,13 @@
 // Decision ledger: one record per balancing round.
 //
-// The master publishes, for every report collection, the inputs it saw
-// (raw and filtered rates, remaining work), the gate outcome (moved,
-// cancelled below the improvement threshold, cancelled as unprofitable,
-// frozen during fault recovery, ...) and the ordered moves. The ledger is
-// the substrate for `nowlb-fuzz --explain` and `nowlb-trace`: a
-// human-readable "why did / didn't it move" timeline for any seed, and
-// the input to check::LedgerChecker's arithmetic cross-check.
+// The lb recorder (lb/record.cpp) appends, for every report collection
+// the master closes, the inputs it saw (raw and filtered rates, remaining
+// work), the gate outcome (moved, cancelled below the improvement
+// threshold, cancelled as unprofitable, frozen during fault recovery, ...)
+// and the ordered moves. The ledger is the substrate for `nowlb-fuzz
+// --explain` and `nowlb-inspect`: a human-readable "why did / didn't it
+// move" timeline for any seed, and the input to check::LedgerChecker's
+// arithmetic cross-check.
 //
 // obs cannot depend on lb (it sits below it in the library stack), so the
 // ledger carries its own Move type rather than lb::Transfer.

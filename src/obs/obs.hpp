@@ -2,9 +2,10 @@
 // parts — trace bus, metrics registry, decision ledger.
 //
 // Attach a hub to a World (obs::attach) and every instrumented layer
-// below it (engine dispatch, network, transport, master/slave protocol)
-// records into it. Attachment is always optional: a null hub costs one
-// pointer test per emit site, and an attached hub never perturbs the
+// records into it: the engine and network through sim::TraceSink, the
+// master, slave agents and transports through lb's recorder
+// (lb/record.cpp). Attachment is always optional: a null hub costs a
+// pointer test or two per event, and an attached hub never perturbs the
 // simulation clock or RNG streams, so traces stay bit-identical.
 #pragma once
 
