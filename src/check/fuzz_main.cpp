@@ -12,12 +12,10 @@
 //   nowlb-fuzz --app=mm --seeds=25 --drop-rate=0.05 --kill-slave=1@3
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "check/scenario.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
@@ -268,24 +266,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!trace_path.empty()) {
-    if (nowlb::obs::write_chrome_trace_file(trace_path, hub.trace)) {
-      std::fprintf(stderr, "trace: wrote %zu event(s) to %s\n",
-                   hub.trace.events().size(), trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n", trace_path.c_str());
-    }
-  }
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (out) {
-      out << hub.metrics.prometheus_text();
-      std::fprintf(stderr, "metrics: wrote %s\n", metrics_path.c_str());
-    } else {
-      std::fprintf(stderr, "metrics: failed to write %s\n",
-                   metrics_path.c_str());
-    }
-  }
+  nowlb::obs::write_files(hub, trace_path, metrics_path);
 
   if (failed.empty()) {
     std::printf("nowlb-fuzz: %d scenario(s) passed, 0 failed\n", runs);

@@ -18,18 +18,6 @@ namespace nowlb::check {
 using sim::Time;
 using sim::to_seconds;
 
-const char* app_name(App app) {
-  switch (app) {
-    case App::kMm:
-      return "mm";
-    case App::kSor:
-      return "sor";
-    case App::kLu:
-      return "lu";
-  }
-  return "?";
-}
-
 std::string Scenario::describe() const {
   std::string s = std::string(app_name(app)) + " seed=" +
                   std::to_string(seed) + " slaves=" + std::to_string(slaves);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "apps/app.hpp"
 #include "apps/lu.hpp"
 #include "apps/mm.hpp"
 #include "apps/sor.hpp"
@@ -23,9 +24,8 @@ struct Observability;
 
 namespace nowlb::check {
 
-enum class App { kMm, kSor, kLu };
-
-const char* app_name(App app);
+using apps::App;
+using apps::app_name;
 
 /// Fault-injection plan layered onto a generated scenario. All fields
 /// default to off, and generate_scenario() draws nothing for it, so

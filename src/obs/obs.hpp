@@ -9,6 +9,8 @@
 // simulation clock or RNG streams, so traces stay bit-identical.
 #pragma once
 
+#include <string>
+
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -26,5 +28,11 @@ struct Observability {
     ledger.clear();
   }
 };
+
+/// Write the hub's trace as Chrome trace JSON to `trace_path` and its
+/// metrics as Prometheus text to `metrics_path`; an empty path skips that
+/// file. Each outcome is reported on stderr, so stdout stays the same.
+void write_files(const Observability& hub, const std::string& trace_path,
+                 const std::string& metrics_path);
 
 }  // namespace nowlb::obs

@@ -2,19 +2,23 @@
 
 #include <cstdio>
 
-#include "exp/harness.hpp"
-#include "load/generators.hpp"
+#include "exp/registry.hpp"
 #include "obs/obs.hpp"
 
 namespace nowlb::perf {
 
 namespace {
 
-/// Fixed-format printed line for a figure run. Every field is derived
-/// from virtual time or protocol counters, so two runs of the same
-/// scenario must produce byte-identical strings.
-FigureRun finish(const char* name, const exp::Measurement& m,
-                 const obs::Observability* hub) {
+/// Run one figure on 4 slaves with balancing on. The summary is a
+/// fixed-format printed line; every field is derived from virtual time or
+/// protocol counters, so two runs of the same figure must produce
+/// byte-identical strings.
+FigureRun run_figure(const exp::Figure& fig, bool with_obs) {
+  obs::Observability hub;
+  exp::ExperimentConfig cfg = exp::config(fig.workload, 4);
+  if (with_obs) cfg.obs = &hub;
+  const exp::Measurement m = exp::run(fig.workload, /*use_lb=*/true, cfg);
+
   FigureRun r;
   r.trace_hash = m.trace_hash;
   r.dispatched_events = m.dispatched_events;
@@ -22,83 +26,30 @@ FigureRun finish(const char* name, const exp::Measurement& m,
   r.lb_rounds = m.stats.rounds;
   r.units_moved = m.stats.units_moved;
   r.ledger_records =
-      hub != nullptr ? static_cast<int>(hub->ledger.records().size()) : 0;
+      with_obs ? static_cast<int>(hub.ledger.records().size()) : 0;
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "%s: elapsed=%.9fs speedup=%.6f eff=%.6f rounds=%d moved=%d "
                 "events=%llu",
-                name, m.elapsed_s, m.speedup, m.efficiency, m.stats.rounds,
-                m.stats.units_moved,
+                fig.name, m.elapsed_s, m.speedup, m.efficiency,
+                m.stats.rounds, m.stats.units_moved,
                 static_cast<unsigned long long>(m.dispatched_events));
   r.summary = buf;
   return r;
 }
 
-exp::ExperimentConfig base_config(int slaves, bool with_obs,
-                                  obs::Observability* hub) {
-  exp::ExperimentConfig cfg;
-  cfg.slaves = slaves;
-  cfg.world = exp::paper_world();
-  cfg.lb = exp::paper_lb();
-  if (with_obs) cfg.obs = hub;
-  return cfg;
-}
-
-FigureRun run_fig5(bool with_obs) {
-  obs::Observability hub;
-  auto cfg = base_config(4, with_obs, &hub);
-  apps::MmConfig mm;  // paper-default n=500
-  const auto m = exp::run_mm(mm, cfg);
-  return finish("fig5.mm_dedicated", m, with_obs ? &hub : nullptr);
-}
-
-FigureRun run_fig6(bool with_obs) {
-  obs::Observability hub;
-  auto cfg = base_config(4, with_obs, &hub);
-  apps::SorConfig sor;  // paper-default n=2000, 20 sweeps
-  const auto m = exp::run_sor(sor, cfg);
-  return finish("fig6.sor_dedicated", m, with_obs ? &hub : nullptr);
-}
-
-FigureRun run_fig7(bool with_obs) {
-  obs::Observability hub;
-  auto cfg = base_config(4, with_obs, &hub);
-  cfg.loads.push_back({0, [] { return load::constant(); }});
-  apps::MmConfig mm;
-  const auto m = exp::run_mm(mm, cfg);
-  return finish("fig7.mm_loaded", m, with_obs ? &hub : nullptr);
-}
-
-FigureRun run_fig8(bool with_obs) {
-  obs::Observability hub;
-  auto cfg = base_config(4, with_obs, &hub);
-  cfg.loads.push_back({0, [] { return load::constant(); }});
-  apps::SorConfig sor;
-  const auto m = exp::run_sor(sor, cfg);
-  return finish("fig8.sor_loaded", m, with_obs ? &hub : nullptr);
-}
-
-FigureRun run_fig9(bool with_obs) {
-  obs::Observability hub;
-  auto cfg = base_config(4, with_obs, &hub);
-  cfg.loads.push_back({0, [] {
-                         return load::oscillating(20 * sim::kSecond,
-                                                  10 * sim::kSecond);
-                       }});
-  apps::MmConfig mm;
-  mm.repeats = 3;  // three phases across the oscillating load
-  const auto m = exp::run_mm(mm, cfg);
-  return finish("fig9.mm_oscillating", m, with_obs ? &hub : nullptr);
-}
-
 }  // namespace
 
 const std::vector<FigureScenario>& figure_scenarios() {
-  static const std::vector<FigureScenario> kScenarios = {
-      {"fig5.mm_dedicated", run_fig5},   {"fig6.sor_dedicated", run_fig6},
-      {"fig7.mm_loaded", run_fig7},      {"fig8.sor_loaded", run_fig8},
-      {"fig9.mm_oscillating", run_fig9},
-  };
+  static const std::vector<FigureScenario> kScenarios = [] {
+    std::vector<FigureScenario> v;
+    for (const exp::Figure& fig : exp::figures()) {
+      v.push_back({fig.name, [&fig](bool with_obs) {
+                     return run_figure(fig, with_obs);
+                   }});
+    }
+    return v;
+  }();
   return kScenarios;
 }
 

@@ -1,15 +1,16 @@
 // Canonical figure and fuzz workloads shared by nowlb-bench and the
 // determinism regression suite (tests/perf/determinism_test.cpp).
 //
-// Each figure scenario is a downscaled fig5-fig9 configuration: small
-// enough to run in a test, large enough to exercise the full runtime
-// (master protocol, movement, competing loads). A run reports the engine
-// trace hash, the dispatched-event count and a fixed-format printed
-// summary — the three fingerprints the determinism suite pins across
-// repeats, across obs recording, and across host-side optimizations.
+// Each figure scenario runs one exp::figures() workload at paper size on
+// 4 slaves with balancing on, which exercises the full runtime (master
+// protocol, movement, competing loads). A run reports the engine trace
+// hash, the dispatched-event count and a fixed-format printed summary —
+// the three fingerprints the determinism suite pins across repeats,
+// across obs recording, and across host-side optimizations.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,7 @@ struct FigureRun {
 
 struct FigureScenario {
   const char* name;  // "fig5.mm_dedicated", ...
-  FigureRun (*run)(bool with_obs);
+  std::function<FigureRun(bool with_obs)> run;
 };
 
 /// The five reproduced figures, in paper order.

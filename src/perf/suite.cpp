@@ -4,7 +4,8 @@
 //           drain, timer schedule/cancel churn), messages/sec through the
 //           reliable transport (clean and lossy links), and the two
 //           serialization hot paths (protocol framing, slice pack/unpack).
-// figure/ — host wall time per reproduced figure (fig5-fig9, downscaled).
+// figure/ — host wall time per exp::figures() entry (fig5-fig9 at paper
+//           size, 4 slaves, balancing on).
 // fuzz/   — host wall time per fuzz scenario class.
 //
 // Every workload is seeded and virtual-time driven, so the work per sample
@@ -15,9 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "apps/mm.hpp"
 #include "data/dist_array.hpp"
-#include "exp/harness.hpp"
+#include "exp/registry.hpp"
 #include "lb/protocol.hpp"
 #include "lb/transport.hpp"
 #include "msg/serialize.hpp"
@@ -216,18 +216,14 @@ double slice_pack_unpack(const BenchOptions&,
 double obs_overhead(const BenchOptions&,
                     std::map<std::string, double>& extra) {
   auto run_once = [](obs::Observability* hub) {
-    exp::ExperimentConfig cfg;
-    cfg.slaves = 4;
-    cfg.world = exp::paper_world();
-    cfg.lb = exp::paper_lb();
+    const exp::Workload mm{apps::App::kMm, 200};
+    exp::ExperimentConfig cfg = exp::config(mm, 4);
     if (hub != nullptr) {
       cfg.obs = hub;
       cfg.lb.causal = true;
     }
-    apps::MmConfig mm;
-    mm.n = 200;
     const double t0 = wall_seconds();
-    const exp::Measurement m = exp::run_mm(mm, cfg);
+    const exp::Measurement m = exp::run(mm, /*use_lb=*/true, cfg);
     return std::make_pair(wall_seconds() - t0, m.dispatched_events);
   };
   // A single reduced run is sub-millisecond; amortize the ratio over

@@ -7,7 +7,7 @@
 
 #include "check/checkers.hpp"
 #include "check/invariant.hpp"
-#include "exp/harness.hpp"
+#include "exp/registry.hpp"
 #include "lb/events.hpp"
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
@@ -83,15 +83,11 @@ TEST(DecisionLedger, ExplainCoversEveryRecord) {
 TEST(DecisionLedger, OneRecordPerRoundInHarnessRuns) {
   for (const bool pipelined : {false, true}) {
     obs::Observability hub;
-    apps::MmConfig mm;
-    mm.n = 64;
-    exp::ExperimentConfig cfg;
-    cfg.slaves = 4;
-    cfg.world = exp::paper_world();
-    cfg.lb = exp::paper_lb();
+    const exp::Workload mm{apps::App::kMm, 64};
+    exp::ExperimentConfig cfg = exp::config(mm, 4);
     cfg.lb.pipelined = pipelined;
     cfg.obs = &hub;
-    const exp::Measurement m = exp::run_mm(mm, cfg);
+    const exp::Measurement m = exp::run(mm, /*use_lb=*/true, cfg);
     EXPECT_EQ(hub.ledger.records().size(),
               static_cast<std::size_t>(m.stats.rounds))
         << "pipelined=" << pipelined;

@@ -7,7 +7,7 @@
 
 #include <stdexcept>
 
-#include "exp/harness.hpp"
+#include "exp/registry.hpp"
 #include "obs/obs.hpp"
 
 namespace nowlb {
@@ -157,15 +157,11 @@ TEST(MetricsRegistry, JsonSnapshotShape) {
 TEST(MetricsRegistry, SnapshotsAreDeterministicAcrossIdenticalRuns) {
   auto run = [] {
     obs::Observability hub;
-    apps::MmConfig mm;
-    mm.n = 48;
-    exp::ExperimentConfig cfg;
-    cfg.slaves = 3;
-    cfg.world = exp::paper_world();
-    cfg.lb = exp::paper_lb();
+    const exp::Workload mm{apps::App::kMm, 48};
+    exp::ExperimentConfig cfg = exp::config(mm, 3);
     cfg.world.seed = 1234;
     cfg.obs = &hub;
-    exp::run_mm(mm, cfg);
+    exp::run(mm, /*use_lb=*/true, cfg);
     return std::pair<std::string, std::string>(hub.metrics.json_snapshot(),
                                                hub.metrics.prometheus_text());
   };
