@@ -1,5 +1,7 @@
 #include "loop/grain.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace nowlb::loop {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "data/activity.hpp"
 #include "data/dist_array.hpp"
 #include "data/index_set.hpp"
 #include "data/slice.hpp"
@@ -298,41 +297,6 @@ TEST(DistArray, UnpackRejectsSliceCountBeyondPayload) {
       msg::encode(std::numeric_limits<std::uint32_t>::max());
   DistArray<double> dst(2);
   EXPECT_THROW(dst.unpack_and_add(payload), CheckFailure);
-}
-
-// --------------------------------------------------------- ActivityMask
-
-TEST(ActivityMask, DeactivateBelow) {
-  ActivityMask m(5);
-  EXPECT_EQ(m.active_count(), 5);
-  m.deactivate_below(3);
-  EXPECT_FALSE(m.active(0));
-  EXPECT_FALSE(m.active(2));
-  EXPECT_TRUE(m.active(3));
-  EXPECT_EQ(m.active_count(), 2);
-}
-
-TEST(ActivityMask, ActiveInOwnedSet) {
-  ActivityMask m(10);
-  m.deactivate_below(4);
-  IndexSet owned(SliceRange{2, 8});
-  EXPECT_EQ(m.active_in(owned), 4);  // 4,5,6,7
-}
-
-TEST(ActivityMask, HighestLowestActiveSkipInactive) {
-  ActivityMask m(10);
-  m.deactivate(5);
-  m.deactivate(8);
-  IndexSet owned(SliceRange{4, 10});
-  EXPECT_EQ(m.highest_active(owned, 2), (std::vector<SliceId>{9, 7}));
-  EXPECT_EQ(m.lowest_active(owned, 2), (std::vector<SliceId>{4, 6}));
-}
-
-TEST(ActivityMask, RequestingTooManyActiveThrows) {
-  ActivityMask m(4);
-  m.deactivate_below(3);
-  IndexSet owned(SliceRange{0, 4});
-  EXPECT_THROW(m.highest_active(owned, 2), CheckFailure);
 }
 
 }  // namespace

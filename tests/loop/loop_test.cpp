@@ -4,7 +4,6 @@
 #include "loop/grain.hpp"
 #include "loop/hooks.hpp"
 #include "loop/spec.hpp"
-#include "sim/world.hpp"
 
 namespace nowlb::loop {
 namespace {
@@ -26,21 +25,6 @@ TEST(Grain, BlockSizeClampedToOne) {
 
 TEST(Grain, BlockSizeClampedToExtent) {
   EXPECT_EQ(block_size_for(kSecond, kMillisecond, 20), 20);
-}
-
-TEST(Grain, CalibrationMeasuresIterations) {
-  sim::World w;
-  auto& h = w.add_host();
-  int measured = -1;
-  w.spawn(h, "calib", [&](sim::Context& ctx) -> sim::Task<> {
-    measured = co_await calibrate_block_size(
-        ctx, /*quantum=*/100 * kMillisecond, /*extent=*/1000,
-        /*measure_iters=*/3, [&](int) -> sim::Task<> {
-          co_await ctx.compute(10 * kMillisecond);  // true per-iter cost
-        });
-  });
-  w.run();
-  EXPECT_EQ(measured, 15);  // 150 ms / 10 ms
 }
 
 TEST(Hooks, PicksDeepestAffordableLevel) {
