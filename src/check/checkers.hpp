@@ -85,8 +85,8 @@ class PipelineLagChecker final : public Invariant {
   std::map<int, int> last_report_;  // rank -> round of last report sent
 };
 
-/// No-duplicate / no-lost slice ownership — the property the locator
-/// protocol (§4.6) silently depends on. Every slice id is held by exactly
+/// No-duplicate / no-lost slice ownership — the property LU's pivot-owner
+/// broadcast (§4.6) silently depends on. Every slice id is held by exactly
 /// one rank or is in flight between two; at run end nothing is in flight
 /// and (when the scenario knows the total) every slice is accounted for.
 /// A slice re-added while its recorded owner is an evicted rank is an

@@ -3,7 +3,7 @@
 // A DistArray whose rank tag is set reports every slice add/remove to the
 // process-global ledger, letting a checker assert that each slice id is
 // owned by exactly one rank at all times (no-duplicate / no-lost ownership
-// — the property §4.6's locator protocol silently depends on). The
+// — the property LU's pivot-owner broadcast, §4.6, silently depends on). The
 // simulation is cooperative single-threaded, so one global slot suffices;
 // it is null whenever no checker is active, making the tap a single branch.
 #pragma once
