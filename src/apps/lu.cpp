@@ -123,7 +123,7 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
     DistArray<double> cols(static_cast<std::size_t>(n));
     cols.enable_ownership_checks(rank);
     for (SliceId j = block.begin; j < block.end; ++j) {
-      cols.add(j, shared->a[static_cast<std::size_t>(j)]);
+      cols.add(j, std::move(shared->a[static_cast<std::size_t>(j)]));
     }
 
     // Full pivot history: work movement can hand us a column that lags the
@@ -279,7 +279,7 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
     }
 
     for (SliceId id : cols.owned_ids()) {
-      shared->a[static_cast<std::size_t>(id)] = cols.slice(id);
+      shared->a[static_cast<std::size_t>(id)] = std::move(cols.slice(id));
       shared->final_owner[static_cast<std::size_t>(id)] = rank;
     }
   });

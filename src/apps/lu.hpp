@@ -36,6 +36,8 @@ struct LuConfig {
 
 struct LuShared {
   /// Column-major matrix; input before the run, L\U factors after.
+  /// During a run each slave moves its block's columns out and moves its
+  /// final columns back at the end, so copy the input first to keep it.
   std::vector<std::vector<double>> a;
   std::vector<int> final_owner;
   std::vector<double> units_by_rank;  // column-step updates per rank

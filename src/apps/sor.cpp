@@ -201,10 +201,10 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
     cols.enable_ownership_checks(rank);
     for (SliceId b = block.begin; b < block.end; ++b) {
       const SliceId j = 1 + b;
-      cols.add(j, shared->grid[static_cast<std::size_t>(j)]);
+      cols.add(j, std::move(shared->grid[static_cast<std::size_t>(j)]));
     }
-    const std::vector<double> bnd_left = shared->grid[0];
-    const std::vector<double> bnd_right =
+    const std::vector<double>& bnd_left = shared->grid[0];
+    const std::vector<double>& bnd_right =
         shared->grid[static_cast<std::size_t>(n - 1)];
 
     // Previous-sweep snapshot of the column right of our highest column.
@@ -563,7 +563,8 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
 
     // Write final values (and ownership) back for verification.
     for (SliceId id : cols.owned_ids()) {
-      shared->grid[static_cast<std::size_t>(id)] = cols.slice(id);
+      shared->grid[static_cast<std::size_t>(id)] =
+          std::move(cols.slice(id));
       shared->final_owner[static_cast<std::size_t>(id)] = rank;
     }
   });

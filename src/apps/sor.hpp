@@ -48,8 +48,11 @@ struct SorConfig {
 };
 
 struct SorShared {
-  /// Column-major grid; input before the run, final values after it
-  /// (slaves write their owned columns back at the end).
+  /// Column-major grid; input before the run, final values after it.
+  /// During a run each slave moves its block's columns out and moves its
+  /// final columns back at the end, so the interior columns are empty
+  /// until the run ends: copy the input first to keep it. No slave writes
+  /// the boundary columns 0 and n-1; slaves read them in place.
   std::vector<std::vector<double>> grid;
   /// Final owner rank of each column (diagnostic; boundary columns -1).
   std::vector<int> final_owner;

@@ -4,6 +4,13 @@
 // length vector of T. Because load balancing moves slices at run time, the
 // local portion is not a contiguous block: slices are looked up through the
 // owned-index structure — the paper's "extra level of indirection" (§4.5).
+// Here that index is one vector of entries sorted by id: a lookup is a
+// binary search, and the walks (owned ids, the top run, markers from an id
+// up, the staircase check) are contiguous. A single add or remove shifts the
+// entries above it; a movement payload adds or drops its whole batch in one
+// pass (Moving). A reference to a slice's vector is valid until the next
+// add, remove or move; a span of its elements stays valid until that slice
+// itself leaves.
 //
 // Each slice carries an application-defined integer `marker`, used by
 // pipelined applications (SOR) to track how far a moved slice has been
@@ -11,8 +18,10 @@
 #pragma once
 
 #include <algorithm>
-#include <map>
+#include <functional>
+#include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/ownership.hpp"
@@ -34,7 +43,10 @@ class DistArray {
   /// buffers, scratch copies) stay invisible to the checkers.
   void enable_ownership_checks(int rank) { check_rank_ = rank; }
 
-  bool owns(SliceId s) const { return slices_.count(s) > 0; }
+  bool owns(SliceId s) const {
+    const std::size_t i = lower(s);
+    return i < slices_.size() && slices_[i].id == s;
+  }
   int owned_count() const { return static_cast<int>(slices_.size()); }
 
   /// Add a slice with the given contents (used at initial distribution and
@@ -42,87 +54,63 @@ class DistArray {
   void add(SliceId id, std::vector<T> contents, int marker = 0) {
     NOWLB_CHECK(contents.size() == slice_len_,
                 "slice " << id << " has wrong length " << contents.size());
-    const auto [it, inserted] =
-        slices_.emplace(id, Slice{std::move(contents), marker});
-    NOWLB_CHECK(inserted, "slice " << id << " already present");
-    (void)it;
-    if (check_rank_ >= 0) {
-      if (SliceLedger* ledger = active_slice_ledger()) {
-        ledger->on_slice_added(check_rank_, id);
-      }
-    }
+    const std::size_t i = lower(id);
+    NOWLB_CHECK(i == slices_.size() || slices_[i].id != id,
+                "slice " << id << " already present");
+    slices_.insert(slices_.begin() + static_cast<std::ptrdiff_t>(i),
+                   Slice{id, marker, std::move(contents)});
+    report(&SliceLedger::on_slice_added, id);
   }
 
   /// Remove a slice and return its contents (used when sending work away).
   std::pair<std::vector<T>, int> remove(SliceId id) {
-    const auto it = slices_.find(id);
-    NOWLB_CHECK(it != slices_.end(), "slice " << id << " not present");
-    auto result = std::make_pair(std::move(it->second.data), it->second.marker);
-    slices_.erase(it);
-    if (check_rank_ >= 0) {
-      if (SliceLedger* ledger = active_slice_ledger()) {
-        ledger->on_slice_removed(check_rank_, id);
-      }
-    }
+    const std::size_t i = held(id);
+    auto result = std::make_pair(std::move(slices_[i].data), slices_[i].marker);
+    slices_.erase(slices_.begin() + static_cast<std::ptrdiff_t>(i));
+    report(&SliceLedger::on_slice_removed, id);
     return result;
   }
 
-  std::vector<T>& slice(SliceId id) {
-    const auto it = slices_.find(id);
-    NOWLB_CHECK(it != slices_.end(), "slice " << id << " not local");
-    return it->second.data;
-  }
+  std::vector<T>& slice(SliceId id) { return slices_[held(id)].data; }
   const std::vector<T>& slice(SliceId id) const {
-    const auto it = slices_.find(id);
-    NOWLB_CHECK(it != slices_.end(), "slice " << id << " not local");
-    return it->second.data;
+    return slices_[held(id)].data;
   }
 
-  int marker(SliceId id) const {
-    const auto it = slices_.find(id);
-    NOWLB_CHECK(it != slices_.end(), "slice " << id << " not local");
-    return it->second.marker;
-  }
-  void set_marker(SliceId id, int m) {
-    const auto it = slices_.find(id);
-    NOWLB_CHECK(it != slices_.end(), "slice " << id << " not local");
-    it->second.marker = m;
-  }
+  int marker(SliceId id) const { return slices_[held(id)].marker; }
+  void set_marker(SliceId id, int m) { slices_[held(id)].marker = m; }
 
   /// Sorted ids of locally held slices.
   std::vector<SliceId> owned_ids() const {
     std::vector<SliceId> out;
     out.reserve(slices_.size());
-    for (const auto& [id, _] : slices_) out.push_back(id);
+    for (const Slice& s : slices_) out.push_back(s.id);
     return out;
   }
 
   /// Lowest / highest held id; throws when no slice is held.
   SliceId lowest_id() const {
     NOWLB_CHECK(!slices_.empty(), "no slices held");
-    return slices_.begin()->first;
+    return slices_.front().id;
   }
   SliceId highest_id() const {
     NOWLB_CHECK(!slices_.empty(), "no slices held");
-    return slices_.rbegin()->first;
+    return slices_.back().id;
   }
 
   /// Length of the run of highest ids whose markers all satisfy `pred`:
   /// walks down from the highest id and stops at the first that fails.
   template <typename Pred>
   int top_run(Pred pred) const {
-    int n = 0;
-    for (auto it = slices_.rbegin();
-         it != slices_.rend() && pred(it->second.marker); ++it) {
-      ++n;
-    }
-    return n;
+    const auto stop =
+        std::find_if_not(slices_.rbegin(), slices_.rend(),
+                         [&pred](const Slice& s) { return pred(s.marker); });
+    return static_cast<int>(stop - slices_.rbegin());
   }
 
   /// Set the marker of every held slice with id >= `from` to `m`.
   void set_markers_from(SliceId from, int m) {
-    for (auto it = slices_.lower_bound(from); it != slices_.end(); ++it) {
-      it->second.marker = m;
+    for (std::size_t i = lower(from); i < slices_.size(); ++i) {
+      slices_[i].marker = m;
     }
   }
 
@@ -131,12 +119,20 @@ class DistArray {
   /// this shape, so their lowest markers always form the top run.
   bool is_staircase() const {
     return std::adjacent_find(slices_.begin(), slices_.end(),
-                              [](const auto& lo, const auto& hi) {
-                                return hi.first != lo.first + 1 ||
-                                       hi.second.marker > lo.second.marker;
+                              [](const Slice& lo, const Slice& hi) {
+                                return hi.id != lo.id + 1 ||
+                                       hi.marker > lo.marker;
                               }) == slices_.end();
   }
 
+ private:
+  struct Slice {
+    SliceId id = 0;
+    int marker = 0;
+    std::vector<T> data;
+  };
+
+ public:
   /// One moved slice on the wire (§4.5). `Col` is std::span<const T> while
   /// the slice is still held here, std::vector<T> once read off the wire.
   template <class Col = std::vector<T>>
@@ -147,35 +143,59 @@ class DistArray {
     template <class A> void fields(A& a) { a(id, marker, contents); }
   };
 
-  /// Slices moving out of or into an array, as a movement payload's list of
-  /// records (a msg::RecordList). Writing it removes each slice just before
-  /// it is written and frees it right after; reading it adds each slice as
-  /// soon as it is read. So a moved slice is never held twice.
+  /// Slices moving out of or into an array, in ascending id order, as a
+  /// movement payload's list of records (a msg::RecordList), handled as one
+  /// batch. Writing it moves each slice's contents out just before they
+  /// are written and frees them right after; the last record drops the
+  /// emptied entries in one pass. Reading it holds each record as it is
+  /// read; the last one merges the batch into the array in one pass. So a
+  /// moved slice is never held twice, and a move costs one pass over the
+  /// array, not one shift per slice. The ownership ledger sees one removal
+  /// per slice written and one add per slice read, in wire order.
   class Moving {
    public:
     using value_type = Record<>;
 
-    /// The slices `ids` of `from`, to be written.
+    /// The slices `ids` of `from`, to be written; the ids must ascend.
     Moving(DistArray& from, std::vector<SliceId> ids)
-        : array_(&from), ids_(std::move(ids)) {}
+        : array_(&from), ids_(std::move(ids)) {
+      NOWLB_CHECK(std::adjacent_find(ids_.begin(), ids_.end(),
+                                     std::greater_equal<>()) == ids_.end(),
+                  "slices to move are not in ascending id order");
+    }
     /// An empty list that adds what is read to `into`.
     explicit Moving(DistArray& into) : array_(&into) {}
 
     std::size_t size() const { return ids_.size(); }
     Record<std::span<const T>> record(std::size_t i) const {
-      const Slice& s = array_->held(ids_[i]);
-      return {ids_[i], s.marker, s.data};
+      const Slice& s = array_->slices_[array_->held(ids_[i])];
+      return {s.id, s.marker, s.data};
     }
     Record<> take(std::size_t i) {
-      auto [contents, marker] = array_->remove(ids_[i]);
-      NOWLB_CHECK(contents.size() == array_->slice_len_,
-                  "slice " << ids_[i] << " resized to " << contents.size());
-      return {ids_[i], marker, std::move(contents)};
+      Slice& s = array_->slices_[array_->held(ids_[i])];
+      Record<> r{s.id, s.marker, std::move(s.data)};
+      array_->report(&SliceLedger::on_slice_removed, r.id);
+      NOWLB_CHECK(r.contents.size() == array_->slice_len_,
+                  "slice " << r.id << " resized to " << r.contents.size());
+      if (i + 1 == ids_.size()) array_->erase(ids_);
+      return r;
     }
-    void reserve(std::size_t n) { ids_.reserve(n); }
+    void reserve(std::size_t n) {
+      ids_.reserve(n);
+      batch_.reserve(n);
+      expected_ = n;
+    }
     void read(Record<>&& r) {
-      array_->add(r.id, std::move(r.contents), r.marker);
+      NOWLB_CHECK(r.contents.size() == array_->slice_len_,
+                  "slice " << r.id << " has wrong length "
+                           << r.contents.size());
+      NOWLB_CHECK(ids_.empty() || ids_.back() < r.id,
+                  "moved slice " << r.id << " follows slice " << ids_.back());
       ids_.push_back(r.id);
+      batch_.push_back(Slice{r.id, r.marker, std::move(r.contents)});
+      if (batch_.size() < expected_) return;
+      array_->merge(batch_);
+      for (SliceId id : ids_) array_->report(&SliceLedger::on_slice_added, id);
     }
     /// The slices written, or the slices read so far.
     const std::vector<SliceId>& ids() const& { return ids_; }
@@ -184,6 +204,8 @@ class DistArray {
    private:
     DistArray* array_;
     std::vector<SliceId> ids_;
+    std::vector<Slice> batch_;  // read, not yet merged
+    std::size_t expected_ = 0;  // records in the payload being read
   };
 
   /// Serialize the given slices (removing them) into a movement payload.
@@ -200,20 +222,54 @@ class DistArray {
   }
 
  private:
-  struct Slice {
-    std::vector<T> data;
-    int marker = 0;
-  };
+  /// Index of the first entry whose id is not below `id`.
+  std::size_t lower(SliceId id) const {
+    const auto it = std::lower_bound(
+        slices_.begin(), slices_.end(), id,
+        [](const Slice& s, SliceId v) { return s.id < v; });
+    return static_cast<std::size_t>(it - slices_.begin());
+  }
+  /// Index of the entry of `id`; throws when it is not held.
+  std::size_t held(SliceId id) const {
+    const std::size_t i = lower(id);
+    NOWLB_CHECK(i < slices_.size() && slices_[i].id == id,
+                "slice " << id << " not local");
+    return i;
+  }
 
-  const Slice& held(SliceId id) const {
-    const auto it = slices_.find(id);
-    NOWLB_CHECK(it != slices_.end(), "slice " << id << " not local");
-    return it->second;
+  /// Drops the entries of `ids` (ascending, all held) in one pass.
+  void erase(const std::vector<SliceId>& ids) {
+    auto next = ids.begin();
+    std::erase_if(slices_, [&](const Slice& s) {
+      if (next == ids.end() || *next != s.id) return false;
+      ++next;
+      return true;
+    });
+  }
+
+  /// Adds `batch` (ascending ids) in one pass; throws if an id is held.
+  void merge(std::vector<Slice>& batch) {
+    for (const Slice& s : batch) {
+      NOWLB_CHECK(!owns(s.id), "slice " << s.id << " already present");
+    }
+    const auto mid = static_cast<std::ptrdiff_t>(slices_.size());
+    std::move(batch.begin(), batch.end(), std::back_inserter(slices_));
+    batch.clear();
+    std::inplace_merge(
+        slices_.begin(), slices_.begin() + mid, slices_.end(),
+        [](const Slice& a, const Slice& b) { return a.id < b.id; });
+  }
+
+  void report(void (SliceLedger::*event)(int, SliceId), SliceId id) const {
+    if (check_rank_ < 0) return;
+    if (SliceLedger* ledger = active_slice_ledger()) {
+      (ledger->*event)(check_rank_, id);
+    }
   }
 
   std::size_t slice_len_;
   int check_rank_ = -1;  // < 0: ownership events not reported
-  std::map<SliceId, Slice> slices_;  // ordered for deterministic iteration
+  std::vector<Slice> slices_;  // ascending by id
 };
 
 }  // namespace nowlb::data

@@ -216,9 +216,8 @@ class Writer {
     return *this;
   }
   void append(const void* p, std::size_t n) {
-    const auto old = buf_.size();
-    buf_.resize(old + n);
-    if (n) std::memcpy(buf_.data() + old, p, n);
+    const auto* bytes = static_cast<const std::byte*>(p);
+    buf_.insert(buf_.end(), bytes, bytes + n);  // one copy, no zero-fill
   }
   Bytes buf_;
 };

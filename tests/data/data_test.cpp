@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <tuple>
 
 #include "data/dist_array.hpp"
 #include "data/index_set.hpp"
+#include "data/ownership.hpp"
 #include "data/slice.hpp"
+#include "util/rng.hpp"
 
 namespace nowlb::data {
 namespace {
@@ -297,6 +302,204 @@ TEST(DistArray, UnpackRejectsSliceCountBeyondPayload) {
       msg::encode(std::numeric_limits<std::uint32_t>::max());
   DistArray<double> dst(2);
   EXPECT_THROW(dst.unpack_and_add(payload), CheckFailure);
+}
+
+// ------------------------------------- DistArray against an ordered map
+
+// Every slice event an array reports, in order: '+' added, '-' removed.
+struct EventLog : SliceLedger {
+  std::vector<std::tuple<char, int, SliceId>> events;
+  void on_slice_added(int rank, SliceId id) override {
+    events.emplace_back('+', rank, id);
+  }
+  void on_slice_removed(int rank, SliceId id) override {
+    events.emplace_back('-', rank, id);
+  }
+};
+
+// The reference store: id -> (marker, contents).
+using Model = std::map<SliceId, std::pair<int, std::vector<double>>>;
+using Record = DistArray<double>::Record<>;
+
+void expect_matches(const DistArray<double>& a, const Model& m) {
+  std::vector<SliceId> ids;
+  bool want_staircase = true;
+  for (auto it = m.begin(); it != m.end(); ++it) {
+    ids.push_back(it->first);
+    ASSERT_TRUE(a.owns(it->first)) << it->first;
+    EXPECT_EQ(a.marker(it->first), it->second.first);
+    EXPECT_EQ(a.slice(it->first), it->second.second);
+    if (it != m.begin()) {
+      const auto lo = std::prev(it);
+      want_staircase = want_staircase && it->first == lo->first + 1 &&
+                       it->second.first <= lo->second.first;
+    }
+  }
+  EXPECT_EQ(a.owned_ids(), ids);
+  EXPECT_EQ(a.owned_count(), static_cast<int>(ids.size()));
+  EXPECT_EQ(a.is_staircase(), want_staircase);
+  if (!ids.empty()) {
+    EXPECT_EQ(a.lowest_id(), ids.front());
+    EXPECT_EQ(a.highest_id(), ids.back());
+  }
+}
+
+template <typename Pred>
+int model_top_run(const Model& m, Pred pred) {
+  int n = 0;
+  for (auto it = m.rbegin(); it != m.rend() && pred(it->second.first); ++it) {
+    ++n;
+  }
+  return n;
+}
+
+SliceId pick(const Model& m, Rng& rng) {
+  return std::next(m.begin(), static_cast<std::ptrdiff_t>(rng.below(m.size())))
+      ->first;
+}
+
+// Ascending ids of `m` to move: its lowest k, its highest k (SOR's ends,
+// LU's top), or any subset (MM's scattered picks).
+std::vector<SliceId> pick_move(const Model& m, Rng& rng) {
+  std::vector<SliceId> held;
+  for (const auto& [id, s] : m) held.push_back(id);
+  const auto k = static_cast<std::ptrdiff_t>(rng.below(held.size() + 1));
+  switch (rng.below(3)) {
+    case 0:
+      return {held.begin(), held.begin() + k};
+    case 1:
+      return {held.end() - k, held.end()};
+    default: {
+      std::vector<SliceId> some;
+      for (SliceId id : held) {
+        if (rng.below(2) == 0) some.push_back(id);
+      }
+      return some;
+    }
+  }
+}
+
+// Two ranks' arrays share one id space, so moved ids interleave with the
+// receiver's. Every operation runs on the array and on its model; after
+// each one they must agree, and the ledger must have seen the events the
+// model predicts, in the same order.
+TEST(DistArray, MatchesAnOrderedMapModel) {
+  constexpr int kIds = 48;
+  constexpr int kOps = 150;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    EventLog log;
+    const SliceLedgerScope scope(&log);
+    std::vector<std::tuple<char, int, SliceId>> want;
+    DistArray<double> a[2] = {DistArray<double>(3), DistArray<double>(3)};
+    Model m[2];
+    a[0].enable_ownership_checks(0);
+    a[1].enable_ownership_checks(1);
+    Rng rng(seed);
+    double serial = 0;
+    for (int op = 0; op < kOps; ++op) {
+      const int r = static_cast<int>(rng.below(2));
+      const int marker = static_cast<int>(rng.below(4));
+      switch (rng.below(8)) {
+        case 0:
+        case 1: {
+          const auto id = static_cast<SliceId>(rng.below(kIds));
+          std::vector<double> contents = {id + 0.25, ++serial, -1.0};
+          if (m[r].count(id) != 0) {
+            EXPECT_THROW(a[r].add(id, contents, marker), CheckFailure);
+          } else if (m[1 - r].count(id) == 0) {
+            a[r].add(id, contents, marker);
+            m[r][id] = {marker, contents};
+            want.emplace_back('+', r, id);
+          }
+          break;
+        }
+        case 2:
+          if (!m[r].empty()) {
+            const SliceId id = pick(m[r], rng);
+            auto [contents, got_marker] = a[r].remove(id);
+            EXPECT_EQ(got_marker, m[r][id].first);
+            EXPECT_EQ(contents, m[r][id].second);
+            m[r].erase(id);
+            want.emplace_back('-', r, id);
+          }
+          break;
+        case 3:
+          if (!m[r].empty()) {
+            const SliceId id = pick(m[r], rng);
+            a[r].set_marker(id, marker);
+            m[r][id].first = marker;
+          }
+          break;
+        case 4: {
+          const auto from = static_cast<SliceId>(rng.below(kIds + 1));
+          a[r].set_markers_from(from, marker);
+          for (auto it = m[r].lower_bound(from); it != m[r].end(); ++it) {
+            it->second.first = marker;
+          }
+          break;
+        }
+        case 5: {
+          const auto eq = [marker](int x) { return x == marker; };
+          const auto below = [marker](int x) { return x < marker; };
+          EXPECT_EQ(a[r].top_run(eq), model_top_run(m[r], eq));
+          EXPECT_EQ(a[r].top_run(below), model_top_run(m[r], below));
+          break;
+        }
+        default: {
+          const std::vector<SliceId> ids = pick_move(m[r], rng);
+          std::vector<Record> records;
+          for (SliceId id : ids) {
+            records.push_back({id, m[r][id].first, m[r][id].second});
+          }
+          const Bytes payload = a[r].pack_and_remove(ids);
+          EXPECT_EQ(payload, msg::encode(records));
+          EXPECT_EQ(a[1 - r].unpack_and_add(payload), ids);
+          for (SliceId id : ids) {
+            m[1 - r][id] = m[r][id];
+            m[r].erase(id);
+            want.emplace_back('-', r, id);
+          }
+          for (SliceId id : ids) want.emplace_back('+', 1 - r, id);
+        }
+      }
+      expect_matches(a[0], m[0]);
+      expect_matches(a[1], m[1]);
+      ASSERT_EQ(log.events, want) << "after operation " << op;
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(DistArray, WriteRejectsIdsNotAscending) {
+  auto a = staircase();
+  EXPECT_THROW(a.pack_and_remove({12, 11}), CheckFailure);
+  EXPECT_THROW(a.pack_and_remove({11, 11}), CheckFailure);
+  EXPECT_THROW(DistArray<double>::Moving(a, {14, 10, 12}), CheckFailure);
+  EXPECT_EQ(a.owned_ids(), (std::vector<SliceId>{10, 11, 12, 13, 14}));
+}
+
+TEST(DistArray, ReadRejectsIdsNotAscending) {
+  const std::vector<Record> records = {{4, 0, {1.0, 2.0}}, {3, 0, {3.0, 4.0}}};
+  DistArray<double> dst(2);
+  EXPECT_THROW(dst.unpack_and_add(msg::encode(records)), CheckFailure);
+  EXPECT_EQ(dst.owned_count(), 0);
+}
+
+TEST(DistArray, ReadRejectsAHeldIdAndKeepsTheArray) {
+  EventLog log;
+  const SliceLedgerScope scope(&log);
+  auto src = staircase();  // 10..14
+  DistArray<double> dst(2);
+  dst.enable_ownership_checks(1);
+  dst.add(13, {7.0, 7.0}, 1);
+  dst.add(20, {8.0, 8.0}, 1);
+  EXPECT_THROW(dst.unpack_and_add(src.pack_and_remove({11, 12, 13})),
+               CheckFailure);
+  EXPECT_EQ(dst.owned_ids(), (std::vector<SliceId>{13, 20}));
+  EXPECT_EQ(dst.slice(13), (std::vector<double>{7.0, 7.0}));
+  // Only the two set-up adds: a rejected batch reports nothing.
+  EXPECT_EQ(log.events.size(), 2u);
 }
 
 }  // namespace
