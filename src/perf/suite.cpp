@@ -2,10 +2,11 @@
 //
 // micro/  — events/sec through the discrete-event core (priority-queue
 //           drain, timer schedule/cancel churn), messages/sec through the
-//           reliable transport (clean and lossy links), and the two
-//           serialization hot paths (protocol framing, slice pack/unpack).
+//           reliable transport (clean and lossy links), the two
+//           serialization hot paths (protocol framing, slice pack/unpack),
+//           and SOR's strip loop over the slice store.
 // figure/ — host wall time per exp::figures() entry (fig5-fig9 at paper
-//           size, 4 slaves, balancing on).
+//           size, 4 slaves, balancing on), run bare: no recorder.
 // fuzz/   — host wall time per fuzz scenario class.
 //
 // Every workload is seeded and virtual-time driven, so the work per sample
@@ -206,6 +207,38 @@ double slice_pack_unpack(const BenchOptions&,
   return iters * (kSlices / 2) / dt;
 }
 
+/// SOR's strip loop without the arithmetic, on one rank's 1,000 columns of
+/// 2,000 rows. Each sweep starts as a staircase: the lower half one strip
+/// ahead, as after columns arrive from the left neighbour. One operation is
+/// one strip's data work: the top run at the lowest marker, then the run's
+/// markers move past the strip.
+double sor_strip(const BenchOptions&, std::map<std::string, double>& extra) {
+  constexpr int kColumns = 1'000;
+  constexpr std::size_t kRows = 2'000;
+  constexpr int kStrips = 40;  // 50-row strips
+  constexpr int kSweeps = 250;
+  data::DistArray<double> cols(kRows);
+  for (data::SliceId j = 1; j <= kColumns; ++j) {
+    cols.add(j, std::vector<double>(kRows));
+  }
+  double run_columns = 0;
+  const double t0 = wall_seconds();
+  for (int sweep = 0; sweep < kSweeps; ++sweep) {
+    cols.set_markers_from(cols.lowest_id(), 1);
+    cols.set_markers_from(kColumns / 2 + 1, 0);
+    for (int strip = 0; strip < kStrips; ++strip) {
+      const int p = cols.marker(cols.highest_id());
+      const int run = cols.top_run([p](int m) { return m == p; });
+      cols.set_markers_from(cols.highest_id() - run + 1, p + 1);
+      run_columns += run;
+    }
+  }
+  const double dt = wall_seconds() - t0;
+  extra["columns"] = kColumns;
+  extra["mean_run"] = run_columns / (kSweeps * kStrips);
+  return kSweeps * kStrips / dt;
+}
+
 // ---- observability overhead ----
 
 /// Flight-recorder tax: one reduced MM run plain, then the identical run
@@ -274,18 +307,18 @@ Suite default_suite() {
          protocol_roundtrip});
   s.add({"data.slice_pack_unpack", "micro", "slices/s", true,
          slice_pack_unpack});
+  s.add({"data.sor_strip", "micro", "strips/s", true, sor_strip});
   s.add({"obs.overhead", "micro", "x", false, obs_overhead});
 
   for (const FigureScenario& fig : figure_scenarios()) {
     s.add({fig.name, "figure", "s", false,
            [&fig](const BenchOptions&, std::map<std::string, double>& e) {
              const double t0 = wall_seconds();
-             const FigureRun r = fig.run(/*with_obs=*/true);
+             const FigureRun r = fig.run(/*with_obs=*/false);
              const double dt = wall_seconds() - t0;
              e["virtual_elapsed_s"] = r.elapsed_virtual_s;
              e["lb.rounds"] = r.lb_rounds;
              e["lb.units_moved"] = r.units_moved;
-             e["lb.ledger_records"] = r.ledger_records;
              e["events"] = static_cast<double>(r.dispatched_events);
              e["trace_hash_hi"] = static_cast<double>(r.trace_hash >> 32);
              return dt;
