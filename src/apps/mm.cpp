@@ -1,10 +1,10 @@
 #include "apps/mm.hpp"
 
-#include <algorithm>
+#include <optional>
 
 #include "data/dist_array.hpp"
-#include "data/index_set.hpp"
 #include "data/slice.hpp"
+#include "loop/movement.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -12,7 +12,6 @@ namespace nowlb::apps {
 
 using data::BlockMap;
 using data::DistArray;
-using data::IndexSet;
 using data::SliceId;
 using sim::Context;
 using sim::Task;
@@ -120,84 +119,60 @@ void mm_build(lb::Cluster& cluster, const MmConfig& cfg,
 
     // Local distributed data: this slave's columns of B. The compiler's
     // generated initialization distributes by block; at run time ownership
-    // follows work movement through the index structure (§4.5).
+    // follows work movement through the index structure (§4.5). A column's
+    // marker is 1 once it is computed in the current invocation, so the
+    // pending columns are this invocation's work list.
     DistArray<double> local_b(static_cast<std::size_t>(n));
     local_b.enable_ownership_checks(rank);
     for (SliceId j = block.begin; j < block.end; ++j) {
       local_b.add(j, shared->b[static_cast<std::size_t>(j)]);
     }
-
-    if (!cfg.use_lb) {
-      // Static distribution (the paper's plain parallel baseline): no
-      // master, no hooks, no movement.
-      for (int phase = 0; phase < cfg.repeats; ++phase) {
-        for (SliceId j : local_b.owned_ids()) {
-          co_await compute_column(ctx, cfg, *shared, local_b.slice(j), j);
-          ++shared->columns_computed[static_cast<std::size_t>(rank)];
-        }
-      }
-      co_return;
-    }
-
-    // Per-phase work list: columns still to compute in this invocation.
-    IndexSet todo;
+    const auto pending = [](SliceId, int marker) { return marker == 0; };
     // Hoisted so the fault-recovery adopt op (which captures by reference)
     // knows the current invocation.
     int phase = 0;
 
-    lb::SlaveAgent::WorkOps ops;
-    ops.remaining = [&todo] { return todo.size(); };
-    ops.pack = [&](int count, int) -> Task<std::pair<sim::Bytes, int>> {
-      // Unrestricted movement: hand off the highest pending columns.
-      const int actual = std::min(count, todo.size());
-      const auto ids = todo.take_highest(actual);
-      co_return std::make_pair(local_b.pack_and_remove(ids), actual);
-    };
-    ops.unpack = [&](const sim::Bytes& payload, int) -> Task<int> {
-      const auto ids = local_b.unpack_and_add(payload);
-      for (SliceId j : ids) todo.insert(j);
-      co_return static_cast<int>(ids.size());
-    };
-    ops.inventory = [&] {
-      const auto ids = local_b.owned_ids();
-      return std::vector<std::int32_t>(ids.begin(), ids.end());
-    };
-    ops.adopt = [&](const std::vector<std::int32_t>& ids) -> Task<> {
-      // Reconstruct orphaned columns from the replicated input B (a real
-      // generated program would reload or recompute them the same way) and
-      // redo whatever the dead rank had not finished this invocation:
-      // compute_column's count increment is atomic with its output write,
-      // so a column is either fully done (count == phase + 1) or must be
-      // recomputed.
-      for (const std::int32_t j : ids) {
-        local_b.add(j, shared->b[static_cast<std::size_t>(j)]);
-        if (shared->compute_count_per_column[static_cast<std::size_t>(j)] <
-            phase + 1) {
-          todo.insert(j);
+    // Static distribution (the paper's plain parallel baseline) runs the
+    // same loop with no agent: no master, no hooks, no movement.
+    std::optional<lb::SlaveAgent> agent;
+    if (cfg.use_lb) {
+      lb::SlaveAgent::WorkOps ops = loop::array_ops(local_b, pending);
+      ops.adopt = [&](const std::vector<std::int32_t>& ids) -> Task<> {
+        // Reconstruct orphaned columns from the replicated input B (a real
+        // generated program would reload or recompute them the same way)
+        // and redo whatever the dead rank had not finished this invocation:
+        // compute_column's count increment is atomic with its output
+        // write, so a column is either fully done (count == phase + 1) or
+        // must be recomputed.
+        for (const std::int32_t j : ids) {
+          const bool done =
+              shared->compute_count_per_column[static_cast<std::size_t>(j)] >=
+              phase + 1;
+          local_b.add(j, shared->b[static_cast<std::size_t>(j)], done ? 1 : 0);
         }
-      }
-      co_return;
-    };
-
-    lb::SlaveAgent agent = c.make_agent(ctx, rank, std::move(ops));
+        co_return;
+      };
+      agent.emplace(c.make_agent(ctx, rank, std::move(ops)));
+    }
 
     for (phase = 0; phase < cfg.repeats; ++phase) {
       // New invocation: every owned column is pending again.
-      for (SliceId j : local_b.owned_ids()) todo.insert(j);
-      agent.begin_phase();
+      local_b.set_markers_from(0, 0);
+      if (agent) agent->begin_phase();
       for (;;) {
-        while (!todo.empty()) {
+        while (const auto j = local_b.first_if(pending)) {
+          co_await compute_column(ctx, cfg, *shared, local_b.slice(*j), *j);
+          local_b.set_marker(*j, 1);
+          ++shared->columns_computed[static_cast<std::size_t>(rank)];
+          if (!agent) continue;
           // Hook at the end of each distributed iteration: the distributed
           // loop is outermost (§4.2 rule 1).
-          const SliceId j = todo.min();
-          co_await compute_column(ctx, cfg, *shared, local_b.slice(j), j);
-          todo.erase(j);
-          ++shared->columns_computed[static_cast<std::size_t>(rank)];
-          agent.add_units(1);
-          co_await agent.hook();
+          agent->add_units(1);
+          co_await agent->hook();
         }
-        co_await agent.drain();
-        if (agent.phase_done()) break;
+        if (!agent) break;
+        co_await agent->drain();
+        if (agent->phase_done()) break;
       }
     }
   });

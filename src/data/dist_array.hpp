@@ -6,20 +6,22 @@
 // owned-index structure — the paper's "extra level of indirection" (§4.5).
 // Here that index is one vector of entries sorted by id: a lookup is a
 // binary search, and the walks (owned ids, the top run, markers from an id
-// up, the staircase check) are contiguous. A single add or remove shifts the
-// entries above it; a movement payload adds or drops its whole batch in one
-// pass (Moving). A reference to a slice's vector is valid until the next
-// add, remove or move; a span of its elements stays valid until that slice
-// itself leaves.
+// up, the staircase check, the predicate walks over (id, marker)) are
+// contiguous. A single add or remove shifts the entries above it; a
+// movement payload adds or drops its whole batch in one pass (Moving). A
+// reference to a slice's vector is valid until the next add, remove or
+// move; a span of its elements stays valid until that slice itself leaves.
 //
-// Each slice carries an application-defined integer `marker`, used by
-// pipelined applications (SOR) to track how far a moved slice has been
-// computed, enabling the catch-up / set-aside reconciliation of §4.5.
+// Each slice carries an application-defined integer `marker` that records
+// how far the slice has been computed: SOR's strips and LU's steps, for the
+// catch-up / set-aside reconciliation of §4.5, and MM's done flag for the
+// current invocation.
 #pragma once
 
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -105,6 +107,36 @@ class DistArray {
         std::find_if_not(slices_.rbegin(), slices_.rend(),
                          [&pred](const Slice& s) { return pred(s.marker); });
     return static_cast<int>(stop - slices_.rbegin());
+  }
+
+  /// Number of held slices with `pred(id, marker)`.
+  template <typename Pred>
+  int count_if(Pred pred) const {
+    return static_cast<int>(std::count_if(
+        slices_.begin(), slices_.end(),
+        [&pred](const Slice& s) { return pred(s.id, s.marker); }));
+  }
+
+  /// Lowest held id with `pred(id, marker)`, if any.
+  template <typename Pred>
+  std::optional<SliceId> first_if(Pred pred) const {
+    for (const Slice& s : slices_) {
+      if (pred(s.id, s.marker)) return s.id;
+    }
+    return std::nullopt;
+  }
+
+  /// Ascending ids of the `n` highest held slices with `pred(id, marker)`,
+  /// or of all of them when fewer match.
+  template <typename Pred>
+  std::vector<SliceId> highest_if(int n, Pred pred) const {
+    std::vector<SliceId> out;
+    for (auto it = slices_.rbegin();
+         it != slices_.rend() && std::ssize(out) < n; ++it) {
+      if (pred(it->id, it->marker)) out.push_back(it->id);
+    }
+    std::reverse(out.begin(), out.end());
+    return out;
   }
 
   /// Set the marker of every held slice with id >= `from` to `m`.

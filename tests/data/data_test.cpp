@@ -4,10 +4,10 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "data/dist_array.hpp"
-#include "data/index_set.hpp"
 #include "data/ownership.hpp"
 #include "data/slice.hpp"
 #include "util/rng.hpp"
@@ -69,55 +69,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{0, 1}, std::pair{1, 1}, std::pair{1, 7},
                       std::pair{7, 7}, std::pair{500, 7}, std::pair{2000, 6},
                       std::pair{13, 5}, std::pair{100, 3}));
-
-// ------------------------------------------------------------- IndexSet
-
-TEST(IndexSet, ConstructFromRange) {
-  IndexSet s(SliceRange{3, 7});
-  EXPECT_EQ(s.size(), 4);
-  EXPECT_TRUE(s.contains(3));
-  EXPECT_TRUE(s.contains(6));
-  EXPECT_FALSE(s.contains(7));
-  EXPECT_TRUE(s.is_contiguous());
-}
-
-TEST(IndexSet, InsertEraseMaintainOrder) {
-  IndexSet s;
-  s.insert(5);
-  s.insert(1);
-  s.insert(3);
-  EXPECT_EQ(s.ids(), (std::vector<SliceId>{1, 3, 5}));
-  s.erase(3);
-  EXPECT_EQ(s.ids(), (std::vector<SliceId>{1, 5}));
-  EXPECT_FALSE(s.is_contiguous());
-}
-
-TEST(IndexSet, DuplicateInsertThrows) {
-  IndexSet s(SliceRange{0, 3});
-  EXPECT_THROW(s.insert(1), CheckFailure);
-}
-
-TEST(IndexSet, EraseMissingThrows) {
-  IndexSet s(SliceRange{0, 3});
-  EXPECT_THROW(s.erase(9), CheckFailure);
-}
-
-TEST(IndexSet, TakeHighestAndLowest) {
-  IndexSet s(SliceRange{0, 10});
-  auto hi = s.take_highest(3);
-  EXPECT_EQ(hi, (std::vector<SliceId>{7, 8, 9}));
-  auto lo = s.take_lowest(2);
-  EXPECT_EQ(lo, (std::vector<SliceId>{0, 1}));
-  EXPECT_EQ(s.size(), 5);
-  EXPECT_EQ(s.min(), 2);
-  EXPECT_EQ(s.max(), 6);
-  EXPECT_TRUE(s.is_contiguous());
-}
-
-TEST(IndexSet, TakeTooManyThrows) {
-  IndexSet s(SliceRange{0, 2});
-  EXPECT_THROW(s.take_highest(3), CheckFailure);
-}
 
 // ------------------------------------------------------------ DistArray
 
@@ -358,6 +309,31 @@ SliceId pick(const Model& m, Rng& rng) {
       ->first;
 }
 
+// The predicate walks against the model, for a predicate on the id (LU's
+// active columns) and one on the marker (MM's pending columns), and for
+// every `n` from none to more than match. `t` varies both predicates.
+void expect_walks_match(const DistArray<double>& a, const Model& m, int t) {
+  const auto check = [&](auto pred) {
+    std::vector<SliceId> want;
+    for (const auto& [id, s] : m) {
+      if (pred(id, s.first)) want.push_back(id);
+    }
+    EXPECT_EQ(a.count_if(pred), std::ssize(want));
+    EXPECT_EQ(a.first_if(pred), want.empty()
+                                    ? std::nullopt
+                                    : std::optional<SliceId>(want.front()));
+    const int matches = static_cast<int>(want.size());
+    for (const int n : {0, 1, 3, matches, matches + 2}) {
+      const auto k = std::min(n, matches);
+      EXPECT_EQ(a.highest_if(n, pred),
+                std::vector<SliceId>(want.end() - k, want.end()))
+          << "n " << n;
+    }
+  };
+  check([t](SliceId id, int) { return id > 12 * t; });
+  check([t](SliceId, int marker) { return marker == t; });
+}
+
 // Ascending ids of `m` to move: its lowest k, its highest k (SOR's ends,
 // LU's top), or any subset (MM's scattered picks).
 std::vector<SliceId> pick_move(const Model& m, Rng& rng) {
@@ -465,6 +441,8 @@ TEST(DistArray, MatchesAnOrderedMapModel) {
       }
       expect_matches(a[0], m[0]);
       expect_matches(a[1], m[1]);
+      expect_walks_match(a[0], m[0], marker);
+      expect_walks_match(a[1], m[1], marker);
       ASSERT_EQ(log.events, want) << "after operation " << op;
       if (HasFailure()) return;
     }
