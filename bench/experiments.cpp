@@ -441,6 +441,7 @@ int main(int argc, char** argv) {
   const Flags flags{cli,
                     cli.has("trace") || cli.has("metrics") ? &hub : nullptr};
   for (const Experiment* e : chosen) e->print(flags);
-  obs::write_files(hub, cli.get("trace", ""), cli.get("metrics", ""));
-  return 0;
+  return obs::write_files(hub, cli.get("trace", ""), cli.get("metrics", ""))
+             ? 0
+             : 2;
 }

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   lb::ClusterConfig cc;
   cc.slaves = slaves;
   cc.initial_counts.assign(slaves, units_per_slave);
-  cc.lb.quantum = world.config().host.quantum;
   lb::Cluster cluster(world, cc);
 
   // Work state: a simple per-rank counter of abstract units. Real

@@ -77,10 +77,9 @@ lb::ClusterConfig mm_cluster_config(const MmConfig& cfg, int slaves,
   cc.termination = lb::Termination::kPhases;
   cc.lb = lb;
   cc.lb.movement = lb::Movement::kUnrestricted;  // no carried dependences
+  // Work unit j is column j of B and C.
   cc.initial_counts = BlockMap::even(cfg.n, slaves).counts();
   cc.use_master = cfg.use_lb;
-  cc.unit_ids_begin = 0;  // work unit j = column j of B/C
-  cc.unit_ids_end = cfg.n;
   return cc;
 }
 

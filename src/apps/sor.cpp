@@ -177,7 +177,6 @@ lb::ClusterConfig sor_cluster_config(const SorConfig& cfg, int slaves,
   cc.termination = lb::Termination::kPhases;
   cc.lb = lb;
   cc.lb.movement = lb::Movement::kRestricted;  // loop-carried dependences
-  cc.lb.min_units_per_slave = 1;  // an empty rank breaks the ghost chain
   cc.initial_counts = BlockMap::even(cfg.n - 2, slaves).counts();
   cc.use_master = cfg.use_lb;
   return cc;

@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  nowlb::obs::write_files(hub, trace_path, metrics_path);
+  if (!nowlb::obs::write_files(hub, trace_path, metrics_path)) return 2;
 
   if (failed.empty()) {
     std::printf("nowlb-fuzz: %d scenario(s) passed, 0 failed\n", runs);

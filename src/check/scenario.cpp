@@ -83,7 +83,6 @@ Scenario generate_scenario(std::uint64_t seed, App app) {
   // ---- balancer configuration ----
   sc.lb.min_period =
       static_cast<Time>(rng.uniform(50.0, 600.0)) * sim::kMillisecond;
-  sc.lb.quantum = sc.world.host.quantum;
   sc.lb.improvement_threshold = rng.uniform(0.05, 0.30);
   sc.lb.filtering = rng.below(2) == 0;
   sc.lb.profitability_check = rng.below(2) == 0;

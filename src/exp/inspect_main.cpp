@@ -49,7 +49,6 @@ int record(const nowlb::Cli& cli) {
   cfg.world = nowlb::exp::paper_world();
   cfg.world.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1994));
   cfg.lb = nowlb::exp::paper_lb();
-  cfg.lb.causal = true;  // wire-level round propagation for the analyzer
   if (no_balance) {
     // Balancing off: the gate can never pass, so no work ever moves — the
     // paper's "without load balancing" baseline.

@@ -39,9 +39,6 @@ void Cluster::spawn(SlaveBody body) {
         mc.phases = cfg_.phases;
         mc.termination = cfg_.termination;
         mc.lb = cfg_.lb;
-        mc.first_window_fraction = cfg_.first_window_fraction;
-        mc.unit_ids_begin = cfg_.unit_ids_begin;
-        mc.unit_ids_end = cfg_.unit_ids_end;
         mc.stats = stats_;
         Master master(ctx, mc);
         co_await master.run();
@@ -57,11 +54,9 @@ void Cluster::add_load(int rank, sim::ProcessBody load_body) {
 SlaveAgent Cluster::make_agent(sim::Context& ctx, int rank,
                                SlaveAgent::WorkOps ops) const {
   NOWLB_CHECK(spawned_, "make_agent before spawn");
-  const double first_window =
-      std::max(1.0, cfg_.first_window_fraction *
-                        static_cast<double>(cfg_.initial_counts[rank]));
   return SlaveAgent(ctx, master_pid_, rank, slave_pids_, cfg_.lb,
-                    std::move(ops), first_window);
+                    std::move(ops),
+                    first_window_units(cfg_.initial_counts[rank]));
 }
 
 }  // namespace nowlb::lb

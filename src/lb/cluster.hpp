@@ -25,11 +25,9 @@ struct ClusterConfig {
   int phases = 1;
   Termination termination = Termination::kPhases;
   LbConfig lb;
-  std::vector<int> initial_counts;  // per-rank work units
-  double first_window_fraction = 0.05;
-  /// Global work-unit id range for fault recovery (see MasterConfig).
-  int unit_ids_begin = 0;
-  int unit_ids_end = -1;
+  /// Per-rank work units. Fault recovery expects the census to name them
+  /// by the ids 0 .. sum - 1.
+  std::vector<int> initial_counts;
   /// False: spawn no master (static distribution, zero balancing overhead
   /// — the paper's plain "parallel execution" baseline).
   bool use_master = true;
@@ -60,7 +58,6 @@ class Cluster {
   int slaves() const { return cfg_.slaves; }
   const std::vector<sim::Pid>& slave_pids() const { return slave_pids_; }
   sim::Pid slave_pid(int rank) const { return slave_pids_.at(rank); }
-  sim::Host& slave_host(int rank) { return *slave_hosts_.at(rank); }
   sim::Pid master_pid() const { return master_pid_; }
   const MasterStats& stats() const { return *stats_; }
   const ClusterConfig& config() const { return cfg_; }

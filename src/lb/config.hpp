@@ -1,8 +1,11 @@
-// Load balancer configuration.
+// Load balancer configuration: the settings some caller varies.
 //
 // Defaults follow the paper: 10 % projected-improvement gate, pipelined
 // master interactions, period >= max(20 x interaction cost,
-// 0.1 x work-movement cost, 5 x scheduling quantum, 500 ms) — Fig. 4.
+// 0.1 x work-movement cost, 5 x scheduling quantum, min_period) — Fig. 4.
+// The Fig. 4 multiples and the rate filter's weights are constants of
+// lb/frequency.hpp and lb/filter.hpp; the scheduling quantum is the
+// world's (sim::HostConfig::quantum).
 #pragma once
 
 #include "sim/time.hpp"
@@ -19,6 +22,8 @@ enum class Movement {
   kUnrestricted,
   /// Work moves only between logically adjacent slaves, preserving a block
   /// distribution (Fig. 1b) — applications with loop-carried dependences.
+  /// Every slave's target stays at one unit or more: an empty rank would
+  /// break the neighbour ghost-exchange chain.
   kRestricted,
 };
 
@@ -28,10 +33,9 @@ enum class Movement {
 struct TransportConfig {
   bool enabled = false;
   /// Initial retransmission timeout; should comfortably exceed one
-  /// round-trip (wire latency + transmit + ack) under load.
+  /// round-trip (wire latency + transmit + ack) under load. Each further
+  /// retransmission of one message doubles it.
   Time rto = 20 * sim::kMillisecond;
-  /// Timeout multiplier per successive retransmission of one message.
-  double backoff = 2.0;
   /// Retransmissions before giving a message up for lost (the peer is
   /// presumed dead; the failure detector is responsible for acting on it).
   int max_retries = 8;
@@ -48,11 +52,6 @@ struct LbConfig {
   /// Minimum projected reduction in completion time to move work (§3.2).
   double improvement_threshold = 0.10;
 
-  /// Floor on any slave's target assignment (work units). Pipelined
-  /// applications set this to 1: an empty rank would break the neighbour
-  /// ghost-exchange chain of the block distribution.
-  int min_units_per_slave = 0;
-
   /// Enable the profitability determination phase: cancel movements whose
   /// estimated cost exceeds the projected benefit (§3.2).
   bool profitability_check = true;
@@ -60,22 +59,10 @@ struct LbConfig {
   /// Enable trend-adaptive filtering of rate reports; when false the raw
   /// rate is used directly (ablation).
   bool filtering = true;
-  /// Weight of new rate data when the trend is not established.
-  double filter_alpha = 0.3;
-  /// Weight of new rate data once `filter_trend_len` consecutive samples
-  /// moved in the same direction (rates really are changing).
-  double filter_fast_alpha = 0.75;
-  int filter_trend_len = 3;
 
   // ---- load-balancing frequency selection (§4.3 / Fig. 4) ----
   /// Hard floor on the balancing period.
   Time min_period = 500 * sim::kMillisecond;
-  /// Period must be at least this many scheduling quanta.
-  double quanta_multiple = 5.0;
-  /// Period must be at least this multiple of the master interaction cost.
-  double interaction_multiple = 20.0;
-  /// Period must be at least this multiple of the cost of moving work.
-  double movement_multiple = 0.1;
 
   /// Starting estimates, refined by measurement at run time. The movement
   /// estimate starts optimistic: a pessimistic start would cancel every
@@ -84,21 +71,8 @@ struct LbConfig {
   Time initial_interaction_cost = 2 * sim::kMillisecond;
   Time initial_move_cost = 2 * sim::kMillisecond;
 
-  /// OS scheduling quantum of the slave hosts (compile/startup-time known).
-  Time quantum = 100 * sim::kMillisecond;
-
   /// Reliable transport wrapped around report/instruction/move traffic.
   TransportConfig transport;
-
-  /// Causal span-context propagation (DESIGN.md §13): piggyback round ids
-  /// on report/instruction trailers and wrap kTagMove payloads with the
-  /// ordering round, so obs/causal.cpp can join each migration to the
-  /// decision that ordered it even under faults. Off by default: the wire
-  /// bytes (and hence timing and trace hashes) stay bit-identical to the
-  /// classic format. The cz.* trace annotations do NOT depend on this flag
-  /// — they are emitted from locally-known state whenever a flight
-  /// recorder is attached.
-  bool causal = false;
 
   /// Failure-detection deadline: if a slave's status report is more than
   /// this late at a collection point, the master declares the rank dead,

@@ -28,7 +28,7 @@ namespace nowlb::lb {
 
 /// A status report arrived, stamped at arrival even when it is stashed
 /// for the next collection.
-struct ReportArrived { int rank, round, ctx_round; };
+struct ReportArrived { int rank, round; };
 /// One report collection completed: reports[r] is valid where mask[r] is
 /// set.
 struct ReportsCollected {

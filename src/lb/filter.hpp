@@ -13,11 +13,12 @@ namespace nowlb::lb {
 
 class TrendFilter {
  public:
-  TrendFilter(double alpha, double fast_alpha, int trend_len)
-      : alpha_(alpha), fast_alpha_(fast_alpha), trend_len_(trend_len) {}
-
-  /// Default-constructed filter uses the paper-calibrated weights.
-  TrendFilter() : TrendFilter(0.3, 0.75, 3) {}
+  /// Weight of new rate data when the trend is not established.
+  static constexpr double kAlpha = 0.3;
+  /// Weight of new rate data once kTrendLen consecutive samples moved in
+  /// the same direction (rates really are changing).
+  static constexpr double kFastAlpha = 0.75;
+  static constexpr int kTrendLen = 3;
 
   /// Feed a raw rate sample; returns the filtered (adjusted) rate.
   double update(double raw) {
@@ -34,7 +35,7 @@ class TrendFilter {
     }
     last_direction_ = direction;
 
-    const double a = (run_length_ >= trend_len_) ? fast_alpha_ : alpha_;
+    const double a = run_length_ >= kTrendLen ? kFastAlpha : kAlpha;
     filtered_ += a * (raw - filtered_);
     return filtered_;
   }
@@ -61,9 +62,6 @@ class TrendFilter {
   }
 
  private:
-  double alpha_;
-  double fast_alpha_;
-  int trend_len_;
   bool initialized_ = false;
   double filtered_ = 0;
   int last_direction_ = 0;

@@ -19,8 +19,17 @@ namespace nowlb::lb {
 
 class FrequencyController {
  public:
-  explicit FrequencyController(const LbConfig& cfg)
-      : cfg_(cfg),
+  /// The Fig. 4 bounds: the period is at least these multiples of the
+  /// master interaction cost, the cost of one movement event and the
+  /// scheduling quantum.
+  static constexpr double kInteractionMultiple = 20.0;
+  static constexpr double kMovementMultiple = 0.1;
+  static constexpr double kQuantaMultiple = 5.0;
+
+  /// `quantum` is the slave hosts' scheduling quantum.
+  FrequencyController(const LbConfig& cfg, Time quantum)
+      : min_period_(cfg.min_period),
+        quantum_(quantum),
         interaction_cost_(cfg.initial_interaction_cost),
         move_event_cost_(cfg.initial_move_cost) {}
 
@@ -35,18 +44,18 @@ class FrequencyController {
   }
 
   Time interaction_cost() const { return interaction_cost_; }
-  Time move_event_cost() const { return move_event_cost_; }
 
   /// The target period between load balancings: the highest lower bound of
-  /// Fig. 4 — max(interaction x 20, movement x 0.1, quantum x 5, 500 ms).
+  /// Fig. 4 — max(interaction x 20, movement x 0.1, quantum x 5,
+  /// min_period).
   Time period() const {
     const auto scaled = [](double m, Time t) {
       return static_cast<Time>(m * static_cast<double>(t));
     };
-    Time p = cfg_.min_period;
-    p = std::max(p, scaled(cfg_.interaction_multiple, interaction_cost_));
-    p = std::max(p, scaled(cfg_.movement_multiple, move_event_cost_));
-    p = std::max(p, scaled(cfg_.quanta_multiple, cfg_.quantum));
+    Time p = min_period_;
+    p = std::max(p, scaled(kInteractionMultiple, interaction_cost_));
+    p = std::max(p, scaled(kMovementMultiple, move_event_cost_));
+    p = std::max(p, scaled(kQuantaMultiple, quantum_));
     return p;
   }
 
@@ -63,7 +72,8 @@ class FrequencyController {
     return (old_value + sample) / 2;
   }
 
-  LbConfig cfg_;
+  Time min_period_;
+  Time quantum_;
   Time interaction_cost_;
   Time move_event_cost_;
 };

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <string>
 
 #include "msg/channel.hpp"
+#include "sim/world.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -20,27 +20,19 @@ Master::Master(sim::Context& ctx, MasterConfig cfg)
       cfg_(std::move(cfg)),
       events_(ctx, cfg_.lb.check),
       nslaves_(static_cast<int>(cfg_.slaves.size())),
-      freq_(cfg_.lb),
+      freq_(cfg_.lb, ctx.world().config().host.quantum),
       move_cost_per_unit_s_(to_seconds(cfg_.lb.initial_move_cost)),
       stats_(cfg_.stats ? *cfg_.stats : local_stats_) {
   NOWLB_CHECK(nslaves_ > 0, "master needs at least one slave");
   NOWLB_CHECK(cfg_.initial_counts.size() == cfg_.slaves.size(),
               "initial_counts size mismatch");
-  filters_.assign(nslaves_, TrendFilter(cfg_.lb.filter_alpha,
-                                        cfg_.lb.filter_fast_alpha,
-                                        cfg_.lb.filter_trend_len));
+  filters_.assign(nslaves_, TrendFilter());
   rates_.assign(nslaves_, 0.0);
   raw_rates_.assign(nslaves_, 0.0);
   measured_.assign(nslaves_, false);
   active_.assign(nslaves_, true);
   collected_.assign(nslaves_, false);
   adopt_orders_.assign(nslaves_, {});
-  unit_ids_begin_ = cfg_.unit_ids_begin;
-  unit_ids_end_ =
-      cfg_.unit_ids_end >= 0
-          ? cfg_.unit_ids_end
-          : unit_ids_begin_ + std::accumulate(cfg_.initial_counts.begin(),
-                                              cfg_.initial_counts.end(), 0);
   if (ft()) {
     NOWLB_CHECK(cfg_.lb.transport.enabled,
                 "fault tolerance requires the reliable transport");
@@ -58,11 +50,6 @@ int Master::rank_of(sim::Pid pid) const {
   }
   NOWLB_CHECK(false, "report from unknown pid " << pid);
   return -1;
-}
-
-double Master::initial_window_units(int rank) const {
-  return std::max(1.0, cfg_.first_window_fraction *
-                           static_cast<double>(cfg_.initial_counts[rank]));
 }
 
 Task<> Master::run() {
@@ -88,9 +75,9 @@ Task<> Master::run_phase() {
       if (!active_[r]) continue;
       Instructions ins;
       ins.round = round_;
-      ins.units_until_next = rates_[r] > 0
-                                 ? freq_.units_for_period(rates_[r])
-                                 : initial_window_units(r);
+      ins.units_until_next =
+          rates_[r] > 0 ? freq_.units_for_period(rates_[r])
+                        : first_window_units(cfg_.initial_counts[r]);
       attach_ft(ins, r);
       co_await send_instr(r, std::move(ins), /*decision_round=*/0);
     }
@@ -201,20 +188,22 @@ Task<> Master::run_done_flags() {
 Decision Master::make_decision(const std::vector<int>& remaining) {
   Decision d = decide(cfg_.lb, remaining, rates_, move_cost_per_unit_s_,
                       to_seconds(freq_.period()));
-  obs::Gate gate = obs::Gate::kHold;
-  if (d.move) {
-    ++stats_.moves_ordered;
-    stats_.units_moved += units_moved(d.transfers);
-    gate = obs::Gate::kMove;
-  } else if (std::string_view(d.reason) == "below improvement threshold") {
-    ++stats_.cancelled_threshold;
-    gate = obs::Gate::kBelowThreshold;
-  } else if (std::string_view(d.reason) == "movement not profitable") {
-    ++stats_.cancelled_profit;
-    gate = obs::Gate::kNotProfitable;
+  switch (d.gate) {
+    case obs::Gate::kMove:
+      ++stats_.moves_ordered;
+      stats_.units_moved += units_moved(d.transfers);
+      break;
+    case obs::Gate::kBelowThreshold:
+      ++stats_.cancelled_threshold;
+      break;
+    case obs::Gate::kNotProfitable:
+      ++stats_.cancelled_profit;
+      break;
+    default:
+      break;
   }
   stats_.last_period_s = to_seconds(freq_.period());
-  close_round(gate, d.reason, remaining, &d);
+  close_round(d.gate, d.reason, remaining, &d);
   return d;
 }
 
@@ -285,7 +274,7 @@ Task<std::vector<StatusReport>> Master::collect_reports(
     NOWLB_CHECK(expected[rank], "report from unexpected rank " << rank);
     // Stamped at true arrival time: a stashed early report is not
     // re-reported when the next collection consumes it.
-    events_.emit(ReportArrived{rank, rep.round, rep.ctx_round});
+    events_.emit(ReportArrived{rank, rep.round});
     if (rep.round == round + 1) {
       stashed_.emplace_back(src, rep);
       continue;
@@ -385,8 +374,9 @@ Task<> Master::send_instructions(int round, bool phase_done,
     Instructions ins;
     ins.round = round;
     ins.phase_done = phase_done ? 1 : 0;
-    ins.units_until_next = rates[r] > 0 ? freq_.units_for_period(rates[r])
-                                        : initial_window_units(r);
+    ins.units_until_next =
+        rates[r] > 0 ? freq_.units_for_period(rates[r])
+                     : first_window_units(cfg_.initial_counts[r]);
     ins.orders = std::move(orders[r]);
     attach_ft(ins, r);
     co_await send_instr(r, std::move(ins), /*decision_round=*/stats_.rounds);
@@ -399,10 +389,6 @@ Task<> Master::send_instructions(int round, bool phase_done,
 }
 
 Task<> Master::send_instr(int rank, Instructions ins, int decision_round) {
-  if (cfg_.lb.causal) {
-    ins.causal = 1;
-    ins.decision_round = decision_round;
-  }
   events_.emit(InstructionsSent{rank, ins, decision_round});
   co_await transport_->send(cfg_.slaves[rank], kTagInstr, msg::encode(ins));
 }
@@ -448,14 +434,15 @@ void Master::reconcile_census(const std::vector<StatusReport>& reports,
   // reports of the round after the instructions that carried it.
   if (ft_sync_pending_) return;
   if (ft_sync_round_ < 0 || census_round <= ft_sync_round_) return;
-  std::vector<bool> held(
-      static_cast<std::size_t>(unit_ids_end_ - unit_ids_begin_), false);
+  const int total_units = std::accumulate(cfg_.initial_counts.begin(),
+                                          cfg_.initial_counts.end(), 0);
+  std::vector<bool> held(static_cast<std::size_t>(total_units), false);
   for (int r = 0; r < nslaves_; ++r) {
     if (!active_[r]) continue;
     if (!collected_[r]) return;  // partial view: wait for a full round
     NOWLB_CHECK(reports[r].ft, "census round report without FT trailer");
     for (std::int32_t id : reports[r].inventory) {
-      const auto idx = static_cast<std::size_t>(id - unit_ids_begin_);
+      const auto idx = static_cast<std::size_t>(id);
       NOWLB_CHECK(idx < held.size(), "inventory id " << id << " out of range");
       NOWLB_CHECK(!held[idx], "unit " << id << " owned by two ranks");
       held[idx] = true;
@@ -464,7 +451,7 @@ void Master::reconcile_census(const std::vector<StatusReport>& reports,
   std::vector<std::int32_t> orphans;
   for (std::size_t i = 0; i < held.size(); ++i) {
     if (!held[i]) {
-      orphans.push_back(static_cast<std::int32_t>(i) + unit_ids_begin_);
+      orphans.push_back(static_cast<std::int32_t>(i));
     }
   }
   if (orphans.empty()) {

@@ -14,6 +14,7 @@
 // of balancing phases and terminate together.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -73,17 +74,16 @@ struct MasterConfig {
   int phases = 1;                   // distributed-loop invocations
   Termination termination = Termination::kPhases;
   LbConfig lb;
-  /// Fraction of the initial assignment to complete before the first
-  /// balance of each phase (no rate information exists yet). Small, so
-  /// rate information is established early in a phase.
-  double first_window_fraction = 0.05;
-  /// Half-open range of global work-unit ids, used by fault recovery to
-  /// compute orphaned units from the survivors' inventory census. The
-  /// default (end = -1) means [0, sum(initial_counts)).
-  int unit_ids_begin = 0;
-  int unit_ids_end = -1;
   std::shared_ptr<MasterStats> stats;  // optional
 };
+
+/// Work units a rank completes before the first balance of each phase,
+/// when no rate information exists yet: 5 % of its initial assignment, at
+/// least one unit. Small, so rate information is established early in a
+/// phase.
+inline double first_window_units(int initial_count) {
+  return std::max(1.0, 0.05 * static_cast<double>(initial_count));
+}
 
 class Master {
  public:
@@ -110,18 +110,19 @@ class Master {
   /// Declare a rank dead: stop expecting traffic, zero its rate, queue the
   /// eviction notice for the next instructions, start recovery.
   void evict(int rank);
-  /// Reconcile the survivors' inventory census against the global unit-id
-  /// range; assign any orphaned units to survivors (adopt orders attached
-  /// to the next instructions). Clears recovery_pending_ once coverage is
-  /// complete and nothing is left to assign.
+  /// Reconcile the survivors' inventory census against the global unit
+  /// ids [0, sum(initial_counts)); assign any orphaned units to survivors
+  /// (adopt orders attached to the next instructions). Clears
+  /// recovery_pending_ once coverage is complete and nothing is left to
+  /// assign.
   void reconcile_census(const std::vector<StatusReport>& reports,
                         int census_round);
   /// Attach the fault-tolerance trailer (eviction notices, adopt orders).
   void attach_ft(Instructions& ins, int rank);
   /// Reliable (or plain, when the transport is disabled) instruction send.
   /// `decision_round` is the decision-ledger round the instructions carry
-  /// (0 = pipelined priming / no decision); it feeds the causal trailer
-  /// and the cz.instr_send trace annotation.
+  /// (0 = pipelined priming / no decision); it feeds the cz.instr_send
+  /// trace annotation.
   sim::Task<> send_instr(int rank, Instructions ins, int decision_round);
   bool ft() const { return cfg_.lb.fault_tolerance(); }
   /// Gate + plan movement for the current remaining distribution, updating
@@ -133,7 +134,6 @@ class Master {
   /// wind-down and frozen ones.
   void close_round(obs::Gate gate, const char* reason,
                    const std::vector<int>& remaining, const Decision* d);
-  double initial_window_units(int rank) const;
   int rank_of(sim::Pid pid) const;
 
   sim::Context& ctx_;
@@ -170,8 +170,6 @@ class Master {
   bool ft_sync_pending_ = false;  // FT state queued, not yet on the wire
   bool recovery_pending_ = false;
   std::vector<std::vector<std::int32_t>> adopt_orders_;  // per rank, queued
-  int unit_ids_begin_ = 0;
-  int unit_ids_end_ = 0;
 };
 
 }  // namespace nowlb::lb

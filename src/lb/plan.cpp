@@ -91,13 +91,13 @@ Decision decide(const LbConfig& cfg, const std::vector<int>& current,
   }
 
   std::vector<int> target = proportional_allocation(rates, total);
-  if (cfg.min_units_per_slave > 0 &&
-      total >= cfg.min_units_per_slave * static_cast<int>(target.size())) {
-    // Raise starved ranks to the floor, taking from the largest holder.
+  if (cfg.movement == Movement::kRestricted &&
+      total >= static_cast<int>(target.size())) {
+    // Keep every rank at one unit or more, taking from the largest holder.
     for (std::size_t i = 0; i < target.size(); ++i) {
-      while (target[i] < cfg.min_units_per_slave) {
+      while (target[i] < 1) {
         const auto donor = std::max_element(target.begin(), target.end());
-        NOWLB_CHECK(*donor > cfg.min_units_per_slave);
+        NOWLB_CHECK(*donor > 1);
         --*donor;
         ++target[i];
       }
@@ -120,6 +120,7 @@ Decision decide(const LbConfig& cfg, const std::vector<int>& current,
   // Refinement 2 (§3.2): don't move unless the projected reduction in
   // execution time is at least the threshold (10 %).
   if (d.improvement < cfg.improvement_threshold) {
+    d.gate = obs::Gate::kBelowThreshold;
     d.reason = "below improvement threshold";
     return d;
   }
@@ -144,18 +145,15 @@ Decision decide(const LbConfig& cfg, const std::vector<int>& current,
   // if its estimated cost exceeds the projected benefit, or if the phase
   // will finish before the moved work can land (endgame guard).
   if (cfg.profitability_check && !cur_inf) {
-    if (d.projected_current_s < lag_s) {
-      d.reason = "movement not profitable";
-      return d;
-    }
     const double benefit = d.projected_current_s - d.projected_new_s;
-    if (d.est_move_cost_s > benefit) {
+    if (d.projected_current_s < lag_s || d.est_move_cost_s > benefit) {
+      d.gate = obs::Gate::kNotProfitable;
       d.reason = "movement not profitable";
       return d;
     }
   }
 
-  d.move = true;
+  d.gate = obs::Gate::kMove;
   d.target = target;
   d.transfers = std::move(transfers);
   d.reason = "rebalance";

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "lb/config.hpp"
+#include "obs/ledger.hpp"
 
 namespace nowlb::lb {
 
@@ -33,9 +34,11 @@ int units_moved(const std::vector<Transfer>& transfers);
 
 /// Full per-round balancing decision.
 struct Decision {
-  bool move = false;
-  std::vector<int> target;          // equals current when !move
-  std::vector<Transfer> transfers;  // empty when !move
+  /// kMove, kBelowThreshold, kNotProfitable, or kHold when no target can
+  /// help (no work, or no slave makes progress).
+  obs::Gate gate = obs::Gate::kHold;
+  std::vector<int> target;          // equals current unless gate is kMove
+  std::vector<Transfer> transfers;  // empty unless gate is kMove
   double projected_current_s = 0;   // completion time of current distribution
   double projected_new_s = 0;       // completion time of proportional target
   double improvement = 0;           // relative reduction
@@ -43,9 +46,10 @@ struct Decision {
   const char* reason = "";          // why movement was (not) ordered
 };
 
-/// Decide whether and how to redistribute: proportional allocation, the
-/// >= threshold improvement gate, and (optionally) the profitability check
-/// comparing estimated movement cost against the projected benefit.
+/// Decide whether and how to redistribute: proportional allocation (with
+/// a one-unit floor per slave under restricted movement), the >= threshold
+/// improvement gate, and (optionally) the profitability check comparing
+/// estimated movement cost against the projected benefit.
 /// `lag_s` is the expected delay until moved work lands (about one
 /// balancing period with pipelined instructions): when the remaining work
 /// completes sooner than that, movement cannot pay off in this invocation

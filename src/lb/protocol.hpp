@@ -20,13 +20,11 @@ inline constexpr sim::Tag kTagInstr = 9002;   // master -> slave instructions
 inline constexpr sim::Tag kTagMove = 9003;    // slave -> slave work movement
 inline constexpr sim::Tag kTagAck = 9004;     // transport acknowledgement
 
-// Optional trailers ride behind the fixed fields, each introduced by a
-// one-byte marker (`a.trailer` in fields()). With every trailer off, the
-// wire bytes are the fixed fields alone. The values are fixed by the byte
-// pins: message sizes feed simulated transfer times.
-inline constexpr std::uint8_t kTrailerFt = 1;      // fault-tolerance census
-inline constexpr std::uint8_t kTrailerCausal = 2;  // causal round context
-static_assert(kTrailerFt != kTrailerCausal, "trailer markers must differ");
+// The optional fault-tolerance trailer rides behind the fixed fields,
+// introduced by a one-byte marker (`a.trailer` in fields()). With it off,
+// the wire bytes are the fixed fields alone. The value is fixed by the
+// byte pins: message sizes feed simulated transfer times.
+inline constexpr std::uint8_t kTrailerFt = 1;
 
 /// Slave performance since the last information exchange, measured in the
 /// application-specific unit of "work units per second" — iterations of the
@@ -59,19 +57,11 @@ struct StatusReport {
   /// survivors' inventories after an eviction (DESIGN.md §9).
   std::vector<std::int32_t> inventory;
 
-  // ---- causal trailer (LbConfig::causal; absent when off) ----
-  /// Trailer present.
-  std::uint8_t causal = 0;
-  /// Wire round of the last Instructions this slave applied before sending
-  /// this report (0 = none yet): the report's causal parent edge.
-  std::int32_t ctx_round = 0;
-
   template <class A>
   void fields(A& a) {
     a(round, units_done, elapsed_s, remaining, lb_blocked_s, move_time_s,
       moved_units, done);
     a.trailer(kTrailerFt, ft, inventory);
-    a.trailer(kTrailerCausal, causal, ctx_round);
   }
 };
 
@@ -106,50 +96,11 @@ struct Instructions {
   /// Orphaned unit ids this slave must reconstruct and take over.
   std::vector<std::int32_t> adopt;
 
-  // ---- causal trailer (LbConfig::causal; absent when off) ----
-  /// Trailer present.
-  std::uint8_t causal = 0;
-  /// Decision-ledger round whose plan these instructions carry (0 = none:
-  /// pipelined priming or a pure phase_done notification).
-  std::int32_t decision_round = 0;
-
   template <class A>
   void fields(A& a) {
     a(round, phase_done, units_until_next, orders);
     a.trailer(kTrailerFt, ft, evicted, adopt);
-    a.trailer(kTrailerCausal, causal, decision_round);
   }
 };
-
-/// Causal context prefixed to every kTagMove payload when LbConfig::causal
-/// is on: the wire round whose instructions ordered the transfer and the
-/// sending rank. Lets the analyzer attribute a migration to its decision
-/// even when the message is stashed out-of-band or reordered by faults.
-/// Off the wire entirely (raw application payload) when causal is off.
-struct MoveContext {
-  std::int32_t round = 0;
-  std::int32_t from_rank = -1;
-  template <class A> void fields(A& a) { a(round, from_rank); }
-};
-
-/// A kTagMove payload under causal propagation: the context, then the
-/// application payload.
-struct CausalMove {
-  MoveContext context;
-  sim::Bytes payload;
-  template <class A> void fields(A& a) { a(context, payload); }
-};
-
-inline sim::Bytes wrap_move(const MoveContext& mc, sim::Bytes payload) {
-  return msg::encode(CausalMove{mc, std::move(payload)});
-}
-
-/// Inverse of wrap_move: returns the context and replaces `payload` with
-/// the inner application payload.
-inline MoveContext unwrap_move(sim::Bytes& payload) {
-  CausalMove m = msg::decode<CausalMove>(payload);
-  payload = std::move(m.payload);
-  return m.context;
-}
 
 }  // namespace nowlb::lb

@@ -103,7 +103,7 @@ class Recorder final : public EventSink {
   void record(sim::Time t, const ReportArrived& e) {
     // Receive-side half of the slave->master transport edge.
     instant(t, "cz", "cz.report_recv", {"rank", num(e.rank)},
-            {"round", num(e.round)}, {"ctx", num(e.ctx_round)});
+            {"round", num(e.round)});
   }
   void record(sim::Time t, const ReportsCollected& e) {
     for (std::size_t r = 0; r < e.reports.size(); ++r) {

@@ -67,10 +67,6 @@ Task<> SlaveAgent::send_report() {
     rep.ft = 1;
     rep.inventory = ops_.inventory();
   }
-  if (lb_.causal) {
-    rep.causal = 1;
-    rep.ctx_round = last_applied_round_;
-  }
   move_time_accum_ = 0;
   moved_units_accum_ = 0;
   NOWLB_LOG(Debug, "lb") << "rank " << rank_ << " report r" << round_
@@ -105,7 +101,6 @@ Task<> SlaveAgent::handle_instr(const Instructions& ins) {
 
 Task<> SlaveAgent::apply_instr_body(const Instructions& ins) {
   applying_round_ = ins.round;
-  last_applied_round_ = ins.round;
   events_.emit(InstructionsApplied{rank_, ins});
   if (ins.ft && (!ins.evicted.empty() || !ins.adopt.empty())) {
     co_await handle_ft(ins);
@@ -261,18 +256,9 @@ void SlaveAgent::note_blocked_span(sim::Time w0) {
 Task<> SlaveAgent::integrate_move(const MoveOrder& order, std::int32_t round,
                                   sim::Message m) {
   const Time t0 = ctx_.now();
-  if (lb_.causal) {
-    // Strip the causal envelope; the wire-carried round is authoritative
-    // (it survives reordering and out-of-band stashing).
-    const MoveContext mc = unwrap_move(m.payload);
-    NOWLB_CHECK(pid_of(mc.from_rank) == m.src,
-                "kTagMove envelope rank does not match sender");
-    round = mc.round;
-  }
   co_await ctx_.compute(ctx_.world().config().msg.recv_overhead);
   const int actual = co_await ops_.unpack(m.payload, order.peer_rank);
   moved_units_accum_ += actual;
-  units_received_ += actual;
   move_time_accum_ += ctx_.now() - t0;
   events_.emit(UnitsUnpacked{rank_, order.peer_rank, order.count, actual,
                              round, t0});
@@ -458,17 +444,11 @@ Task<> SlaveAgent::apply_moves(const std::vector<MoveOrder>& orders) {
       auto [payload, actual] = co_await ops_.pack(want, o.peer_rank);
       NOWLB_CHECK(actual <= o.count);
       moved_units_accum_ += actual;
-      units_sent_ += actual;
       events_.emit(UnitsPacked{rank_, o.peer_rank, o.count, actual});
       NOWLB_LOG(Debug, "lb") << "rank " << rank_ << " sends " << actual
                              << " units to rank " << o.peer_rank;
-      // Under causal propagation, wrap the payload with the ordering round
-      // so the receiver attributes the migration even after reordering.
-      sim::Bytes out = lb_.causal
-                           ? wrap_move({applying_round_, rank_}, std::move(payload))
-                           : std::move(payload);
       co_await transport_->send(pid_of(o.peer_rank), kTagMove,
-                                std::move(out));
+                                std::move(payload));
       move_time_accum_ += ctx_.now() - t0;
       events_.emit(MoveSent{rank_, o.peer_rank, applying_round_, t0});
     }

@@ -103,13 +103,9 @@ class SlaveAgent {
   /// that application code picked up during a wildcard receive.
   sim::Task<> accept_runtime(sim::Message m);
 
-  int rounds_completed() const { return round_; }
-  int units_sent() const { return units_sent_; }
-  int units_received() const { return units_received_; }
-
  private:
   /// One ordered incoming transfer, tagged with the wire round of the
-  /// instructions that ordered it (causal attribution of the migration).
+  /// instructions that ordered it (the cz.move_recv span's round).
   struct PendingRecv {
     MoveOrder order;
     std::int32_t round = 0;
@@ -136,7 +132,7 @@ class SlaveAgent {
   bool first_for_peer(std::size_t index) const;
   /// Account a runtime wait that started at `w0` and ended now: add it to
   /// the blocked accumulator and report it (the cz.blocked span of the
-  /// causal DAG).
+  /// round graph).
   void note_blocked_span(sim::Time w0);
   /// Blocking receive of one queued incoming transfer.
   sim::Task<> recv_one_pending();
@@ -183,9 +179,6 @@ class SlaveAgent {
   /// Wire round of the instructions currently being applied (tags move
   /// orders and cz.move_* spans with their ordering round).
   std::int32_t applying_round_ = 0;
-  /// Wire round of the last applied instructions: the next report's
-  /// causal-trailer parent (StatusReport::ctx_round).
-  std::int32_t last_applied_round_ = 0;
   double units_since_ = 0;
   double until_next_;
   sim::Time window_start_ = 0;
@@ -196,8 +189,6 @@ class SlaveAgent {
   int moved_units_accum_ = 0;
   bool phase_done_ = false;
   bool final_ = false;
-  int units_sent_ = 0;
-  int units_received_ = 0;
 };
 
 }  // namespace nowlb::lb

@@ -101,7 +101,8 @@ void Transport::arm_timer(Key k, std::uint32_t seq) {
   if (it == pending_.end()) return;
   auto jt = it->second.find(seq);
   if (jt == it->second.end()) return;
-  const double scale = std::pow(cfg_.backoff, jt->second.attempts);
+  // Each retransmission of one message doubles its timeout.
+  const double scale = std::pow(2.0, jt->second.attempts);
   const sim::Time delay =
       static_cast<sim::Time>(static_cast<double>(cfg_.rto) * scale);
   jt->second.timer = ctx_.world().engine().schedule_after(

@@ -52,11 +52,6 @@ struct LoopNestSpec {
   /// Virtual CPU cost of one (outer, slice) iteration of the distributed
   /// loop — the calibrated model of the sequential body.
   std::function<sim::Time(int outer, data::SliceId slice)> iteration_cost;
-
-  data::SliceRange bounds_for(int outer) const {
-    if (bounds) return bounds(outer);
-    return {0, distributed_extent};
-  }
 };
 
 /// The derived per-application properties — one row of the paper's Table 1.

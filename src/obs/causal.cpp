@@ -109,7 +109,7 @@ void Builder::scan() {
   for (const auto& [rank, t] : evict_time) g.evicted.push_back(rank);
   // The decision ledger is authoritative for gate and ordered units — the
   // lb.decision trace events are a fallback for traces captured without a
-  // ledger (or with the lb category sampled down).
+  // ledger.
   for (const DecisionRecord& r : ledger.records()) {
     long units = 0;
     for (const Move& m : r.moves) units += m.count;
@@ -136,7 +136,9 @@ void Builder::windows_and_moves() {
     } else if (is(e, "cz", "cz.move_recv")) {
       // Pair with the oldest unmatched send from that donor: per-peer
       // transfers are FIFO. The span covers donor pack/send through
-      // receiver unpack.
+      // receiver unpack. Both halves name the wire round whose
+      // instructions ordered the transfer, each from its own rank's state,
+      // so a FIFO pair must agree on it.
       const int to = static_cast<int>(arg(e, "rank", -1));
       const int from = static_cast<int>(arg(e, "from", -1));
       CausalSpan s;
@@ -148,6 +150,13 @@ void Builder::windows_and_moves() {
       s.end = e.t + e.dur;
       auto& q = move_sends[{from, to}];
       if (!q.empty()) {
+        const int sent_round = static_cast<int>(arg(*q.front(), "round"));
+        if (sent_round != s.round) {
+          std::ostringstream os;
+          os << "migration " << from << "->" << to << " sent in round "
+             << sent_round << " but received in round " << s.round;
+          problem(os.str());
+        }
         s.begin = q.front()->t;
         q.erase(q.begin());
       }

@@ -12,9 +12,10 @@
 // The builder validates well-formedness as it goes: monotone window rounds
 // per rank, non-negative span durations, every applied instruction backed
 // by a report from the same rank (unless the rank was evicted — a killed
-// rank's round subgraph simply terminates), and no events from a rank
-// after its eviction. Violations land in CausalGraph::problems; a graph
-// from a healthy run has none.
+// rank's round subgraph simply terminates), both halves of a migration
+// naming the same ordering round, and no events from a rank after its
+// eviction. Violations land in CausalGraph::problems; a graph from a
+// healthy run has none.
 #pragma once
 
 #include <cstddef>
@@ -93,8 +94,7 @@ struct CausalGraph {
 
 /// Reconstruct the causal round DAG of one run from its flight-recorder
 /// trace and decision ledger. Works on any trace with cz.* annotations
-/// (emitted whenever a hub is attached); wire-level causal propagation
-/// (LbConfig::causal) additionally pins migration rounds under faults.
+/// (emitted whenever a hub is attached).
 CausalGraph build_causal_graph(const TraceBus& trace,
                                const DecisionLedger& ledger);
 

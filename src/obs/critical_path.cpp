@@ -23,7 +23,8 @@ const CausalSpan* latest_before(const std::vector<CausalSpan>& spans,
 
 /// The causal predecessor of `cur`: the span whose completion released it.
 /// Uses the protocol's structure; falls back to the latest same-rank span
-/// when the structural parent is missing (sampled out, rank died).
+/// when the structural parent is missing (lost to the capacity cap, rank
+/// died).
 const CausalSpan* predecessor(const CausalGraph& g, const CausalSpan& cur) {
   const auto& spans = g.spans;
   switch (cur.kind) {

@@ -134,14 +134,6 @@ const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
              : nullptr;
 }
 
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  auto it = metrics_.find(name);
-  return it != metrics_.end() && it->second.kind == Kind::kHistogram
-             ? it->second.histogram.get()
-             : nullptr;
-}
-
 std::string MetricsRegistry::prometheus_text() const {
   std::ostringstream os;
   for (const auto& [name, e] : metrics_) {
@@ -183,42 +175,6 @@ std::string MetricsRegistry::prometheus_text() const {
     }
   }
   return os.str();
-}
-
-std::string MetricsRegistry::json_snapshot() const {
-  std::ostringstream c, g, h;
-  bool fc = true, fg = true, fh = true;
-  for (const auto& [name, e] : metrics_) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        c << (fc ? "" : ",") << "\"" << name << "\":" << e.counter->value();
-        fc = false;
-        break;
-      case Kind::kGauge:
-        g << (fg ? "" : ",") << "\"" << name
-          << "\":" << fmt_double(e.gauge->value());
-        fg = false;
-        break;
-      case Kind::kHistogram: {
-        const Histogram& hist = *e.histogram;
-        h << (fh ? "" : ",") << "\"" << name << "\":{\"buckets\":[";
-        for (std::size_t i = 0; i < hist.bounds().size(); ++i) {
-          h << (i ? "," : "") << "[" << fmt_double(hist.bounds()[i]) << ","
-            << hist.bucket_counts()[i] << "]";
-        }
-        h << "],\"inf\":" << hist.bucket_counts().back()
-          << ",\"sum\":" << fmt_double(hist.sum())
-          << ",\"count\":" << hist.count()
-          << ",\"p50\":" << fmt_double(hist.quantile(0.50))
-          << ",\"p90\":" << fmt_double(hist.quantile(0.90))
-          << ",\"p99\":" << fmt_double(hist.quantile(0.99)) << "}";
-        fh = false;
-        break;
-      }
-    }
-  }
-  return "{\"counters\":{" + c.str() + "},\"gauges\":{" + g.str() +
-         "},\"histograms\":{" + h.str() + "}}";
 }
 
 }  // namespace nowlb::obs

@@ -5,9 +5,9 @@
 // (name lookup) allocates; emitters resolve their metrics once and cache
 // the returned reference, which stays stable for the registry's lifetime.
 //
-// Two export formats: Prometheus text exposition (with HELP/label
-// escaping) and a JSON snapshot. Both iterate metrics in name order, so
-// two identical seeded runs produce byte-identical dumps.
+// One export format: Prometheus text exposition (with HELP/label
+// escaping). It iterates metrics in name order, so two identical seeded
+// runs produce byte-identical dumps.
 #pragma once
 
 #include <cstdint>
@@ -85,13 +85,9 @@ class MetricsRegistry {
   /// Lookup without creation; nullptr when absent (or a different kind).
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
 
   /// Prometheus text exposition format (version 0.0.4).
   std::string prometheus_text() const;
-
-  /// JSON snapshot: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  std::string json_snapshot() const;
 
   bool empty() const { return metrics_.empty(); }
   void clear() { metrics_.clear(); }

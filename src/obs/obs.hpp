@@ -32,7 +32,8 @@ struct Observability {
 /// Write the hub's trace as Chrome trace JSON to `trace_path` and its
 /// metrics as Prometheus text to `metrics_path`; an empty path skips that
 /// file. Each outcome is reported on stderr, so stdout stays the same.
-void write_files(const Observability& hub, const std::string& trace_path,
+/// Returns false when a requested file could not be written.
+bool write_files(const Observability& hub, const std::string& trace_path,
                  const std::string& metrics_path);
 
 }  // namespace nowlb::obs

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <string>
 #include <utility>
@@ -83,51 +82,15 @@ class TraceBus {
   std::size_t dropped() const { return dropped_; }
   void set_capacity(std::size_t cap) { capacity_ = cap; }
 
-  /// Keep only every `keep_every`-th event of category `cat` (1 = keep
-  /// all, 0 = drop all). Deterministic — a pure function of the event
-  /// sequence, so sampled traces are as reproducible as full ones. Scale
-  /// guardrail for large runs: the bulky categories (msg.*) can be
-  /// decimated while the causal skeleton (cz/lb/proc) stays exact.
-  /// `cat` must outlive the bus (string literals in practice).
-  void set_sampling(const char* cat, std::uint64_t keep_every) {
-    for (auto& s : sampling_) {
-      if (std::strcmp(s.cat, cat) == 0) {
-        s.keep_every = keep_every;
-        return;
-      }
-    }
-    sampling_.push_back({cat, keep_every, 0});
-  }
-
-  /// Events dropped by category sampling (distinct from the capacity cap).
-  std::size_t sampled_out() const { return sampled_out_; }
-
   void clear() {
     events_.clear();
     lanes_.clear();
     hosts_.clear();
     dropped_ = 0;
-    sampled_out_ = 0;
-    for (auto& s : sampling_) s.seen = 0;
   }
 
  private:
-  struct Sampling {
-    const char* cat;
-    std::uint64_t keep_every;
-    std::uint64_t seen;
-  };
-
   void push(TraceEvent e) {
-    for (auto& s : sampling_) {
-      if (std::strcmp(s.cat, e.cat) != 0) continue;
-      const std::uint64_t n = s.seen++;
-      if (s.keep_every == 0 || n % s.keep_every != 0) {
-        ++sampled_out_;
-        return;
-      }
-      break;
-    }
     if (events_.size() >= capacity_) {
       ++dropped_;
       return;
@@ -138,10 +101,8 @@ class TraceBus {
   std::vector<TraceEvent> events_;
   std::map<std::pair<int, int>, std::string> lanes_;
   std::map<int, std::string> hosts_;
-  std::vector<Sampling> sampling_;
   std::size_t capacity_ = std::size_t{1} << 22;
   std::size_t dropped_ = 0;
-  std::size_t sampled_out_ = 0;
 };
 
 }  // namespace nowlb::obs

@@ -242,19 +242,15 @@ double sor_strip(const BenchOptions&, std::map<std::string, double>& extra) {
 // ---- observability overhead ----
 
 /// Flight-recorder tax: one reduced MM run plain, then the identical run
-/// with a hub attached and causal propagation on (the maximal
-/// instrumentation a user can switch on). The sample is the wall-time
-/// ratio instrumented/plain — bench_compare gates it, so observability
-/// can never silently slow the simulator down.
+/// with a hub attached. The sample is the wall-time ratio
+/// instrumented/plain — bench_compare gates it, so observability can
+/// never silently slow the simulator down.
 double obs_overhead(const BenchOptions&,
                     std::map<std::string, double>& extra) {
   auto run_once = [](obs::Observability* hub) {
     const exp::Workload mm{apps::App::kMm, 200};
     exp::ExperimentConfig cfg = exp::config(mm, 4);
-    if (hub != nullptr) {
-      cfg.obs = hub;
-      cfg.lb.causal = true;
-    }
+    cfg.obs = hub;
     const double t0 = wall_seconds();
     const exp::Measurement m = exp::run(mm, /*use_lb=*/true, cfg);
     return std::make_pair(wall_seconds() - t0, m.dispatched_events);

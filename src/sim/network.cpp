@@ -15,8 +15,6 @@ bool Network::fault_eligible(const Message& m, int src_host,
 }
 
 void Network::post(Message m, int src_host, Process& dst, int dst_host) {
-  ++messages_;
-  bytes_ += m.payload.size();
   if (sink_) {
     sink_->net_count(TraceSink::NetCounter::kMessagesSent, 1);
     sink_->net_count(TraceSink::NetCounter::kPayloadBytes, m.payload.size());

@@ -39,8 +39,6 @@ class Network {
   /// at the current virtual time.
   void post(Message m, int src_host, Process& dst, int dst_host);
 
-  std::uint64_t messages_sent() const { return messages_; }
-  std::uint64_t payload_bytes_sent() const { return bytes_; }
   /// Messages transmitted but lost before delivery (fault injection).
   std::uint64_t messages_dropped() const { return dropped_; }
   /// Extra copies delivered by duplication faults.
@@ -57,8 +55,6 @@ class Network {
   // container off nowlb-lint's D003 unordered ban with nothing to justify:
   // host counts are small enough that the tree vs. hash cost is noise.
   std::map<int, Time> link_busy_until_;
-  std::uint64_t messages_ = 0;
-  std::uint64_t bytes_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t duplicated_ = 0;
 };

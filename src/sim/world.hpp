@@ -68,7 +68,6 @@ class World {
   /// Create a new host (workstation). Hosts are identified by index.
   Host& add_host();
   Host& host(int id) { return *hosts_.at(id); }
-  std::size_t host_count() const { return hosts_.size(); }
 
   /// Spawn a process on `host`; it starts at the current virtual time.
   /// Essential processes gate run(); non-essential ones (competing loads)

@@ -22,7 +22,6 @@ sim::WorldConfig test_world_config() {
 lb::LbConfig test_lb() {
   lb::LbConfig cfg;
   cfg.min_period = 250 * kMillisecond;
-  cfg.quantum = 10 * kMillisecond;
   return cfg;
 }
 

@@ -72,7 +72,7 @@ TEST(Contiguity, NonAdjacentTransferFails) {
   InvariantSet set;
   set.add(std::make_unique<ContiguityChecker>(4));
   lb::Decision d;
-  d.move = true;
+  d.gate = obs::Gate::kMove;
   d.target = {1, 1, 1, 1};
   d.transfers = {{0, 2, 1}};  // skips rank 1
   const std::vector<int> remaining = {2, 1, 0, 1};

@@ -16,7 +16,7 @@ TEST(TrendFilter, FirstSamplePassesThrough) {
 }
 
 TEST(TrendFilter, DampsIsolatedSpike) {
-  TrendFilter f(0.3, 0.75, 3);
+  TrendFilter f;
   f.update(10.0);
   const double after_spike = f.update(100.0);
   // Only 30 % of the spike passes through.
@@ -24,9 +24,9 @@ TEST(TrendFilter, DampsIsolatedSpike) {
 }
 
 TEST(TrendFilter, TrendAcceleratesConvergence) {
-  TrendFilter slow(0.3, 0.75, 3);
+  TrendFilter slow;
   for (int i = 0; i < 4; ++i) slow.update(10.0);  // settle at 10
-  // Step change sustained: after `trend_len` same-direction moves, the
+  // Step change sustained: after `kTrendLen` same-direction moves, the
   // filter switches to the fast weight and closes the gap quickly.
   double v = 0;
   for (int i = 0; i < 6; ++i) v = slow.update(100.0);
@@ -35,7 +35,7 @@ TEST(TrendFilter, TrendAcceleratesConvergence) {
 }
 
 TEST(TrendFilter, OscillationStaysDamped) {
-  TrendFilter f(0.3, 0.75, 3);
+  TrendFilter f;
   f.update(50.0);
   // Alternating samples never build a trend run >= 3.
   for (int i = 0; i < 20; ++i) f.update(i % 2 ? 100.0 : 0.0);

@@ -41,7 +41,6 @@ struct Scenario {
 LbConfig fast_lb() {
   LbConfig cfg;
   cfg.min_period = 250 * kMillisecond;
-  cfg.quantum = 10 * kMillisecond;
   cfg.initial_move_cost = 2 * kMillisecond;
   cfg.initial_interaction_cost = kMillisecond;
   return cfg;

@@ -181,13 +181,14 @@ LbConfig cfg_with(double threshold, bool profit) {
 
 TEST(Decide, BalancedStaysPut) {
   auto d = decide(cfg_with(0.1, true), {10, 10}, {1.0, 1.0}, 0.01);
-  EXPECT_FALSE(d.move);
+  EXPECT_EQ(d.gate, obs::Gate::kBelowThreshold);
   EXPECT_STREQ(d.reason, "below improvement threshold");
 }
 
 TEST(Decide, LargeImbalanceMoves) {
   auto d = decide(cfg_with(0.1, true), {20, 0}, {1.0, 1.0}, 0.01);
-  EXPECT_TRUE(d.move);
+  EXPECT_EQ(d.gate, obs::Gate::kMove);
+  EXPECT_STREQ(d.reason, "rebalance");
   EXPECT_EQ(d.target, (std::vector<int>{10, 10}));
   EXPECT_NEAR(d.improvement, 0.5, 1e-9);
 }
@@ -195,40 +196,45 @@ TEST(Decide, LargeImbalanceMoves) {
 TEST(Decide, ThresholdGatesSmallImbalance) {
   // 11 vs 9 at equal rates: projected 11 -> 10, improvement ~9 % < 10 %.
   auto d = decide(cfg_with(0.10, true), {11, 9}, {1.0, 1.0}, 0.0);
-  EXPECT_FALSE(d.move);
+  EXPECT_EQ(d.gate, obs::Gate::kBelowThreshold);
+  EXPECT_STREQ(d.reason, "below improvement threshold");
   // With a 5 % threshold the same situation moves.
   auto d2 = decide(cfg_with(0.05, true), {11, 9}, {1.0, 1.0}, 0.0);
-  EXPECT_TRUE(d2.move);
+  EXPECT_EQ(d2.gate, obs::Gate::kMove);
 }
 
 TEST(Decide, ProfitabilityCancelsExpensiveMove) {
   // Benefit is 20 s - 10 s = 10 s, but moving 10 units at 1.5 s/unit
   // costs 15 s: cancelled.
   auto d = decide(cfg_with(0.1, true), {20, 0}, {1.0, 1.0}, 1.5);
-  EXPECT_FALSE(d.move);
+  EXPECT_EQ(d.gate, obs::Gate::kNotProfitable);
   EXPECT_STREQ(d.reason, "movement not profitable");
+  // The endgame guard: the phase ends before moved work could land.
+  auto late = decide(cfg_with(0.1, true), {20, 0}, {1.0, 1.0}, 0.0, 30.0);
+  EXPECT_EQ(late.gate, obs::Gate::kNotProfitable);
+  EXPECT_STREQ(late.reason, "movement not profitable");
   // Disabling the check lets it through (ablation).
   auto d2 = decide(cfg_with(0.1, false), {20, 0}, {1.0, 1.0}, 1.5);
-  EXPECT_TRUE(d2.move);
+  EXPECT_EQ(d2.gate, obs::Gate::kMove);
 }
 
 TEST(Decide, StalledSlaveForcesMove) {
   // A slave with work but zero rate makes current time infinite; movement
   // must happen regardless of cost.
   auto d = decide(cfg_with(0.1, true), {10, 10}, {0.0, 1.0}, 100.0);
-  EXPECT_TRUE(d.move);
+  EXPECT_EQ(d.gate, obs::Gate::kMove);
   EXPECT_EQ(d.target, (std::vector<int>{0, 20}));
 }
 
 TEST(Decide, NoWorkNoMove) {
   auto d = decide(cfg_with(0.1, true), {0, 0}, {1.0, 1.0}, 0.01);
-  EXPECT_FALSE(d.move);
+  EXPECT_EQ(d.gate, obs::Gate::kHold);
   EXPECT_STREQ(d.reason, "no work remaining");
 }
 
 TEST(Decide, AllStalledNoMove) {
   auto d = decide(cfg_with(0.1, true), {5, 5}, {0.0, 0.0}, 0.01);
-  EXPECT_FALSE(d.move);
+  EXPECT_EQ(d.gate, obs::Gate::kHold);
   EXPECT_STREQ(d.reason, "no slave can make progress");
 }
 
@@ -236,9 +242,14 @@ TEST(Decide, RestrictedModePlansAdjacent) {
   LbConfig cfg = cfg_with(0.1, false);
   cfg.movement = Movement::kRestricted;
   auto d = decide(cfg, {12, 0, 0}, {1.0, 1.0, 1.0}, 0.0);
-  EXPECT_TRUE(d.move);
+  EXPECT_EQ(d.gate, obs::Gate::kMove);
   for (const auto& t : d.transfers)
     EXPECT_EQ(std::abs(t.from_rank - t.to_rank), 1);
+  // Restricted movement keeps every rank at one unit or more: the
+  // proportional share of the slow rank rounds to 0.
+  auto starved = decide(cfg, {4, 4, 4}, {1.0, 1.0, 0.1}, 0.0);
+  EXPECT_EQ(starved.gate, obs::Gate::kMove);
+  EXPECT_EQ(starved.target[2], 1);
 }
 
 }  // namespace

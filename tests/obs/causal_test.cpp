@@ -1,7 +1,7 @@
 // Causal round DAG tests (DESIGN.md §13): well-formedness of graphs
-// reconstructed from clean and crash-fault runs, determinism with causal
-// wire propagation on, the runfile round-trip `nowlb-inspect` relies on,
-// and the critical-path walk.
+// reconstructed from clean, lossy and crash-fault runs over seed sweeps,
+// migration attribution, the runfile round-trip `nowlb-inspect` relies
+// on, and the critical-path walk.
 #include "obs/causal.hpp"
 
 #include <gtest/gtest.h>
@@ -55,17 +55,17 @@ TEST(CausalGraph, CleanRunIsWellFormed) {
   }
 }
 
-// Causal wire propagation on: every migration span must carry the round
-// whose instructions ordered it, and report/instruction transits join up.
-TEST(CausalGraph, CausalWireRunAttributesMigrations) {
-  check::Scenario sc = check::generate_scenario(3, check::App::kMm);
-  sc.lb.causal = true;
+// Every migration span carries the round whose instructions ordered it,
+// and report/instruction transits join up.
+TEST(CausalGraph, RecordedRunAttributesMigrations) {
+  check::Scenario sc = check::generate_scenario(9, check::App::kMm);
   obs::Observability hub;
   const check::FuzzResult res = run_with_hub(sc, hub);
   ASSERT_TRUE(res.ok) << sc.describe();
   const obs::CausalGraph g = obs::build_causal_graph(hub.trace, hub.ledger);
   EXPECT_TRUE(g.well_formed()) << problems_of(g);
   bool saw_transit = false;
+  bool saw_migration = false;
   for (const obs::CausalSpan& s : g.spans) {
     EXPECT_GE(s.dur(), 0);
     if (s.kind == obs::SpanKind::kReportTransit ||
@@ -73,21 +73,21 @@ TEST(CausalGraph, CausalWireRunAttributesMigrations) {
       saw_transit = true;
     }
     if (s.kind == obs::SpanKind::kMigration) {
+      saw_migration = true;
       EXPECT_GT(s.round, 0) << "migration not attributed to a round";
       EXPECT_GE(s.rank, 0);
       EXPECT_GE(s.peer, 0);
     }
   }
   EXPECT_TRUE(saw_transit);
+  EXPECT_TRUE(saw_migration);
 }
 
-// The feature gate must not perturb determinism in either state: with
-// causal wire propagation on, the run replays bit-identically, and the
-// recorder stays pure observation.
-TEST(CausalGraph, CausalWireRunsAreDeterministic) {
+// Recorded runs replay bit-identically, and the recorder stays pure
+// observation.
+TEST(CausalGraph, RecordedRunsAreDeterministic) {
   auto run_once = [](obs::Observability* hub) {
-    check::Scenario sc = check::generate_scenario(5, check::App::kMm);
-    sc.lb.causal = true;
+    const check::Scenario sc = check::generate_scenario(5, check::App::kMm);
     return check::run_scenario(sc, check::InvariantSet::Fault::kNone, hub);
   };
   const check::FuzzResult bare = run_once(nullptr);
@@ -104,25 +104,65 @@ TEST(CausalGraph, CausalWireRunsAreDeterministic) {
 // A slave killed mid-round must leave a recoverable DAG: the evicted
 // rank's subgraph simply terminates, with no events after the eviction.
 TEST(CausalGraph, KillSlaveRunStaysWellFormed) {
-  for (const bool causal : {false, true}) {
+  check::FaultPlan plan;
+  plan.drop_rate = 0.05;
+  plan.dup_rate = 0.02;
+  plan.reorder_delay = 500 * sim::kMicrosecond;
+  plan.kill_rank = 1;
+  plan.kill_round = 3;
+  check::Scenario sc = check::generate_scenario(7, check::App::kMm);
+  check::apply_fault_plan(sc, plan);
+  ASSERT_GE(sc.slaves, 2);
+  obs::Observability hub;
+  const check::FuzzResult res = run_with_hub(sc, hub);
+  ASSERT_TRUE(res.ok) << sc.describe();
+  const obs::CausalGraph g = obs::build_causal_graph(hub.trace, hub.ledger);
+  EXPECT_TRUE(g.well_formed()) << problems_of(g);
+  EXPECT_EQ(g.evicted, std::vector<int>{1});
+}
+
+// Every graph of a seed sweep is well-formed: clean runs of each app, the
+// same runs under drops, duplicates and reordering, and MM with a slave
+// killed at round 3. Among other rules, the two halves of every migration
+// name the same ordering round, although each comes from its own rank's
+// state and the transfer may be reordered or retransmitted in between.
+TEST(CausalGraph, SeedSweepsAreWellFormed) {
+  check::FaultPlan lossy;
+  lossy.drop_rate = 0.05;
+  lossy.dup_rate = 0.02;
+  lossy.reorder_delay = 500 * sim::kMicrosecond;
+  check::FaultPlan crash = lossy;
+  crash.kill_rank = 1;
+  crash.kill_round = 3;
+  struct Sweep {
+    check::App app;
     check::FaultPlan plan;
-    plan.drop_rate = 0.05;
-    plan.dup_rate = 0.02;
-    plan.reorder_delay = 500 * sim::kMicrosecond;
-    plan.kill_rank = 1;
-    plan.kill_round = 3;
-    check::Scenario sc = check::generate_scenario(7, check::App::kMm);
-    check::apply_fault_plan(sc, plan);
-    sc.lb.causal = causal;
-    ASSERT_GE(sc.slaves, 2);
-    obs::Observability hub;
-    const check::FuzzResult res = run_with_hub(sc, hub);
-    ASSERT_TRUE(res.ok) << sc.describe();
-    const obs::CausalGraph g = obs::build_causal_graph(hub.trace, hub.ledger);
-    EXPECT_TRUE(g.well_formed()) << "causal=" << causal << "\n"
-                                 << problems_of(g);
-    EXPECT_EQ(g.evicted, std::vector<int>{1}) << "causal=" << causal;
+  };
+  const Sweep sweeps[] = {
+      {check::App::kMm, {}},     {check::App::kSor, {}},
+      {check::App::kLu, {}},     {check::App::kMm, lossy},
+      {check::App::kSor, lossy}, {check::App::kLu, lossy},
+      {check::App::kMm, crash},
+  };
+  int migrations = 0;
+  for (const Sweep& sweep : sweeps) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      check::Scenario sc = check::generate_scenario(seed, sweep.app);
+      check::apply_fault_plan(sc, sweep.plan);
+      obs::Observability hub;
+      const check::FuzzResult res = run_with_hub(sc, hub);
+      ASSERT_TRUE(res.ok) << sc.describe();
+      const obs::CausalGraph g =
+          obs::build_causal_graph(hub.trace, hub.ledger);
+      EXPECT_TRUE(g.well_formed()) << sc.describe() << "\n"
+                                   << problems_of(g);
+      migrations += static_cast<int>(
+          std::count_if(g.spans.begin(), g.spans.end(), [](const auto& s) {
+            return s.kind == obs::SpanKind::kMigration;
+          }));
+    }
   }
+  EXPECT_GT(migrations, 0);  // the round check had pairs to compare
 }
 
 TEST(CausalGraph, ValidatorFlagsNonMonotoneRoundsAndNegativeSpans) {
@@ -165,9 +205,33 @@ TEST(CausalGraph, ValidatorFlagsInstructionWithoutReport) {
   EXPECT_TRUE(g2.well_formed()) << problems_of(g2);
 }
 
+TEST(CausalGraph, ValidatorFlagsMigrationRoundMismatch) {
+  obs::DecisionLedger ledger;
+  // Rank 0 sends to rank 1 twice; per-peer FIFO pairs the first receive
+  // with the first send.
+  obs::TraceBus bus;
+  bus.complete(10, 20, 1, 1, "cz", "cz.move_send", {"rank", 0.0},
+               {"to", 1.0}, {"round", 2.0});
+  bus.complete(30, 40, 1, 1, "cz", "cz.move_send", {"rank", 0.0},
+               {"to", 1.0}, {"round", 3.0});
+  bus.complete(50, 60, 2, 2, "cz", "cz.move_recv", {"rank", 1.0},
+               {"from", 0.0}, {"round", 3.0});
+  const obs::CausalGraph g = obs::build_causal_graph(bus, ledger);
+  ASSERT_EQ(g.problems.size(), 1u);
+  EXPECT_NE(g.problems.front().find("sent in round 2 but received in round 3"),
+            std::string::npos)
+      << problems_of(g);
+
+  obs::TraceBus bus2;
+  bus2.complete(10, 20, 1, 1, "cz", "cz.move_send", {"rank", 0.0},
+                {"to", 1.0}, {"round", 2.0});
+  bus2.complete(50, 60, 2, 2, "cz", "cz.move_recv", {"rank", 1.0},
+                {"from", 0.0}, {"round", 2.0});
+  EXPECT_TRUE(obs::build_causal_graph(bus2, ledger).well_formed());
+}
+
 TEST(CriticalPath, CoversTheRunAndOrdersSteps) {
   check::Scenario sc = check::generate_scenario(11, check::App::kMm);
-  sc.lb.causal = true;
   obs::Observability hub;
   const check::FuzzResult res = run_with_hub(sc, hub);
   ASSERT_TRUE(res.ok);
@@ -194,7 +258,6 @@ TEST(CriticalPath, CoversTheRunAndOrdersSteps) {
 
 TEST(Runfile, RoundtripPreservesTheGraph) {
   check::Scenario sc = check::generate_scenario(3, check::App::kMm);
-  sc.lb.causal = true;
   obs::Observability hub;
   const check::FuzzResult res = run_with_hub(sc, hub);
   ASSERT_TRUE(res.ok);

@@ -1,6 +1,6 @@
 // Metrics registry: counter/gauge/histogram semantics, Prometheus text
-// exposition (escaping, cumulative buckets), JSON snapshots, and snapshot
-// determinism across two identical seeded simulation runs.
+// exposition (escaping, cumulative buckets), and its determinism across
+// two identical seeded simulation runs.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -140,20 +140,8 @@ TEST(MetricsRegistry, PrometheusHistogramIsCumulativeWithInf) {
   EXPECT_NE(text.find("lat_count 3\n"), std::string::npos);
 }
 
-TEST(MetricsRegistry, JsonSnapshotShape) {
-  obs::MetricsRegistry m;
-  m.counter("c").inc(2);
-  m.gauge("g").set(0.5);
-  m.histogram("h", {1.0}).observe(3.0);
-  const std::string json = m.json_snapshot();
-  EXPECT_EQ(json,
-            "{\"counters\":{\"c\":2},\"gauges\":{\"g\":0.5},"
-            "\"histograms\":{\"h\":{\"buckets\":[[1,0]],\"inf\":1,"
-            "\"sum\":3,\"count\":1,\"p50\":1,\"p90\":1,\"p99\":1}}}");
-}
-
 // Two identical seeded runs must register and count the exact same
-// metrics: both export formats are deterministic byte-for-byte.
+// metrics: the export is deterministic byte-for-byte.
 TEST(MetricsRegistry, SnapshotsAreDeterministicAcrossIdenticalRuns) {
   auto run = [] {
     obs::Observability hub;
@@ -162,17 +150,14 @@ TEST(MetricsRegistry, SnapshotsAreDeterministicAcrossIdenticalRuns) {
     cfg.world.seed = 1234;
     cfg.obs = &hub;
     exp::run(mm, /*use_lb=*/true, cfg);
-    return std::pair<std::string, std::string>(hub.metrics.json_snapshot(),
-                                               hub.metrics.prometheus_text());
+    return hub.metrics.prometheus_text();
   };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_FALSE(a.first.empty());
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+  const std::string a = run();
+  const std::string b = run();
+  EXPECT_EQ(a, b);
   // The run actually counted something.
-  EXPECT_NE(a.second.find("lb_rounds"), std::string::npos);
-  EXPECT_NE(a.second.find("sim_messages_sent"), std::string::npos);
+  EXPECT_NE(a.find("lb_rounds"), std::string::npos);
+  EXPECT_NE(a.find("sim_messages_sent"), std::string::npos);
 }
 
 }  // namespace
