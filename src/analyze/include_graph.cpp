@@ -18,19 +18,20 @@ std::string module_of(const std::string& path) {
 }  // namespace
 
 void run_layering_rules(const std::vector<ScannedFile>& files,
-                        const RuleConfig& cfg, std::vector<Finding>& out) {
+                        std::vector<Finding>& out) {
   std::map<std::string, const ScannedFile*> by_path;
   for (const auto& f : files) by_path[f.rel_path] = &f;
 
   // L001 — upward (or sideways cross-module) includes.
+  const std::map<std::string, int>& ranks = layer_of();
   for (const auto& f : files) {
-    const auto src_rank = cfg.layer_of.find(f.module);
+    const auto src_rank = ranks.find(f.module);
     for (const auto& inc : f.includes) {
       if (inc.angled || !by_path.count(inc.path)) continue;  // not ours
       const std::string dst_mod = module_of(inc.path);
       if (dst_mod == f.module) continue;
-      const auto dst_rank = cfg.layer_of.find(dst_mod);
-      if (src_rank == cfg.layer_of.end() || dst_rank == cfg.layer_of.end())
+      const auto dst_rank = ranks.find(dst_mod);
+      if (src_rank == ranks.end() || dst_rank == ranks.end())
         continue;  // unranked module: out of the layering contract
       if (dst_rank->second < src_rank->second) continue;  // downward: fine
       Finding fd;
@@ -41,7 +42,6 @@ void run_layering_rules(const std::vector<ScannedFile>& files,
                    std::to_string(src_rank->second) + ") includes " +
                    dst_mod + " (layer " + std::to_string(dst_rank->second) +
                    "): \"" + inc.path + "\"";
-      fd.key = "includes " + inc.path;
       out.push_back(std::move(fd));
     }
   }
@@ -78,7 +78,6 @@ void run_layering_rules(const std::vector<ScannedFile>& files,
           fd.rel_path = node;
           fd.line = inc.line;
           fd.message = "include cycle: " + cyc;
-          fd.key = "cycle " + cyc;
           out.push_back(std::move(fd));
         }
       }

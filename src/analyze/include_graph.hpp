@@ -18,6 +18,6 @@
 namespace nowlb::analyze {
 
 void run_layering_rules(const std::vector<ScannedFile>& files,
-                        const RuleConfig& cfg, std::vector<Finding>& out);
+                        std::vector<Finding>& out);
 
 }  // namespace nowlb::analyze

@@ -58,7 +58,6 @@ std::vector<Suppression> parse_suppressions(const ScannedFile& f,
         fd.rel_path = f.rel_path;
         fd.line = li + 1;
         fd.message = why;
-        fd.key = "nolint#" + std::to_string(li + 1);
         out.push_back(std::move(fd));
       };
       if (open >= com.size() || com[open] != '(') continue;
@@ -107,20 +106,16 @@ void sort_findings(std::vector<Finding>& v) {
     if (a.line != b.line) return a.line < b.line;
     if (std::string(a.rule->code) != b.rule->code)
       return std::string(a.rule->code) < b.rule->code;
-    return a.key < b.key;
+    return a.message < b.message;
   });
-}
-
-std::string baseline_line(const Finding& f) {
-  return std::string(f.rule->code) + "\t" + f.rel_path + "\t" + f.key;
 }
 
 }  // namespace
 
-LintResult run_lint(const LintOptions& opts) {
-  const fs::path root(opts.root);
+LintResult run_lint(const std::string& root_dir) {
+  const fs::path root(root_dir);
   if (!fs::is_directory(root))
-    throw std::runtime_error("lint root is not a directory: " + opts.root);
+    throw std::runtime_error("lint root is not a directory: " + root_dir);
 
   // Deterministic file order: collect, sort, then scan.
   std::vector<fs::path> paths;
@@ -141,12 +136,10 @@ LintResult run_lint(const LintOptions& opts) {
   std::map<const ScannedFile*, std::vector<Suppression>> sups;
   for (const auto& f : files) {
     auto s = parse_suppressions(f, all);
-    run_determinism_rules(f, opts.config, all);
+    run_determinism_rules(f, all);
     sups[&f] = std::move(s);
   }
-  run_layering_rules(files, opts.config, all);
-
-  run_flow_rules(files, opts.config, all);
+  run_layering_rules(files, all);
 
   // Apply inline suppressions: a finding dies if a matching-rule NOLINT
   // sits on its line, or a NOLINTNEXTLINE on the line above.
@@ -182,18 +175,15 @@ LintResult run_lint(const LintOptions& opts) {
     const Rule* s002 = rule_by_name(kRuleNolintStale);
     std::vector<Finding> stale;
     for (const auto& f : files) {
-      int n = 0;
       for (const auto& s : sups[&f]) {
         if (!s.has_reason) continue;  // malformed: already an S001
         if (s.rule == kRuleNolintStale) continue;
-        ++n;
         if (s.used) continue;
         Finding fd;
         fd.rule = s002;
         fd.rel_path = f.rel_path;
         fd.line = s.line;
         fd.message = "NOLINT(" + s.rule + ") suppresses no finding";
-        fd.key = s.rule + "#stale#" + std::to_string(n);
         stale.push_back(std::move(fd));
       }
     }
@@ -205,37 +195,7 @@ LintResult run_lint(const LintOptions& opts) {
 
   LintResult res;
   res.files_scanned = static_cast<int>(files.size());
-
-  if (opts.update_baseline && !opts.baseline_path.empty()) {
-    std::ofstream out(opts.baseline_path, std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("cannot write baseline " + opts.baseline_path);
-    out << to_baseline(kept);
-  }
-
-  // Baseline: a multiset of (rule, file, key) lines; each entry absorbs
-  // one matching finding.
-  std::map<std::string, int> baseline;
-  if (!opts.baseline_path.empty() && !opts.update_baseline) {
-    std::ifstream in(opts.baseline_path);
-    // A missing baseline file is an empty baseline (first run).
-    std::string line;
-    while (in && std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      ++baseline[line];
-    }
-  }
-  for (auto& fd : kept) {
-    auto it = baseline.find(baseline_line(fd));
-    if (it != baseline.end() && it->second > 0) {
-      --it->second;
-      res.baselined.push_back(std::move(fd));
-    } else {
-      res.fresh.push_back(std::move(fd));
-    }
-  }
-  for (const auto& [line, count] : baseline)
-    for (int i = 0; i < count; ++i) res.stale_baseline.push_back(line);
+  res.findings = std::move(kept);
   return res;
 }
 
@@ -247,20 +207,6 @@ std::string format_findings(const std::vector<Finding>& findings,
         << f.line << ": [" << f.rule->code << " " << f.rule->name << "] "
         << f.message << ". hint: " << f.rule->hint << "\n";
   }
-  return out.str();
-}
-
-std::string to_baseline(std::vector<Finding> findings) {
-  std::vector<std::string> lines;
-  lines.reserve(findings.size());
-  for (const auto& f : findings) lines.push_back(baseline_line(f));
-  std::sort(lines.begin(), lines.end());
-  std::ostringstream out;
-  out << "# nowlb-lint baseline — pre-existing findings, burned down over\n"
-         "# time. One finding per line: <rule>\\t<file>\\t<key>. Regenerate\n"
-         "# with: nowlb-lint --root=src --baseline=<this file> "
-         "--update-baseline\n";
-  for (const auto& l : lines) out << l << "\n";
   return out.str();
 }
 

@@ -1,6 +1,6 @@
 // nowlb-lint driver: walk a source root, run every rule family, apply
-// inline NOLINT suppressions and the checked-in baseline, and render the
-// result. Library API so tests can run the linter in-process.
+// inline NOLINT suppressions, and render the result. Library API so tests
+// can run the linter in-process.
 #pragma once
 
 #include <string>
@@ -10,40 +10,21 @@
 
 namespace nowlb::analyze {
 
-struct LintOptions {
-  /// Directory to lint (e.g. "src" or an absolute path).
-  std::string root;
-  /// Prefix prepended to relative paths in reports ("src" makes findings
-  /// read `src/sim/x.hpp:12`). Defaults to `root` as given.
-  std::string label;
-  /// Baseline file; empty disables baselining.
-  std::string baseline_path;
-  /// Rewrite the baseline to the current findings instead of reporting.
-  bool update_baseline = false;
-  RuleConfig config = default_config();
-};
-
 struct LintResult {
-  std::vector<Finding> fresh;      // findings not covered by the baseline
-  std::vector<Finding> baselined;  // matched a baseline entry
-  /// Baseline entries that no longer match anything — candidates for
-  /// removal (reported, but not an error).
-  std::vector<std::string> stale_baseline;
+  std::vector<Finding> findings;  // sorted by path, line, code, message
   int files_scanned = 0;
 
-  bool clean() const { return fresh.empty(); }
+  bool clean() const { return findings.empty(); }
 };
 
-/// Scan, lint, and baseline-filter `opts.root`. Throws std::runtime_error
-/// on unreadable roots or baseline files.
-LintResult run_lint(const LintOptions& opts);
+/// Scan and lint every source file under `root` (e.g. "src" or an
+/// absolute path). Throws std::runtime_error on an unreadable root.
+LintResult run_lint(const std::string& root);
 
 /// Render findings the way the CLI prints them (one line per finding,
-/// `<label>/<file>:<line>: [<code> <name>] <message>. hint: <hint>`).
+/// `<label>/<file>:<line>: [<code> <name>] <message>. hint: <hint>`);
+/// a label of "src" makes them read `src/sim/x.hpp:12`.
 std::string format_findings(const std::vector<Finding>& findings,
                             const std::string& label);
-
-/// Serialize findings in baseline format (sorted, line-independent).
-std::string to_baseline(std::vector<Finding> findings);
 
 }  // namespace nowlb::analyze

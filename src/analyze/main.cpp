@@ -1,93 +1,55 @@
-// nowlb-lint — repo-specific determinism, layering, and protocol linter.
+// nowlb-lint — repo-specific determinism, layering, and suppression linter.
 //
-//   nowlb-lint [--root=]src [--baseline=.nowlb-lint-baseline]
-//              [--update-baseline] [--label=src] [--list-rules]
+//   nowlb-lint [--root=]src [--label=src] [--list-rules]
 //
-// Exit 0: clean (modulo baseline). Exit 1: fresh findings. Exit 2: usage.
+// Exit 0: clean. Exit 1: findings. Exit 2: usage.
 #include <cstdio>
 #include <exception>
 #include <string>
 
 #include "analyze/lint.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
-void usage() {
-  std::fputs(
-      "usage: nowlb-lint [--root=]DIR [options]\n"
-      "  --baseline=FILE     subtract the checked-in baseline\n"
-      "  --update-baseline   rewrite FILE from the current findings\n"
-      "  --label=NAME        path prefix in reports (default: the root)\n"
-      "  --list-rules        print the rule catalog and exit\n",
-      stderr);
-}
-
-void list_rules() {
-  for (const auto& r : nowlb::analyze::rule_catalog())
-    std::printf("%s  %-20s %s\n", r.code, r.name, r.hint);
-}
+constexpr const char* kUsage =
+    "usage: nowlb-lint [--root=]DIR [options]\n"
+    "  --label=NAME        path prefix in reports (default: the root)\n"
+    "  --list-rules        print the rule catalog and exit\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace nowlb::analyze;
-  LintOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const std::size_t n = std::string(prefix).size();
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (arg == "--list-rules") {
-      list_rules();
-      return 0;
-    } else if (arg == "--update-baseline") {
-      opts.update_baseline = true;
-    } else if (const char* v = value("--root=")) {
-      opts.root = v;
-    } else if (const char* b = value("--baseline=")) {
-      opts.baseline_path = b;
-    } else if (const char* l = value("--label=")) {
-      opts.label = l;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] != '-' && opts.root.empty()) {
-      opts.root = arg;
-    } else {
-      std::fprintf(stderr, "nowlb-lint: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return 2;
-    }
+  const nowlb::Cli cli(argc, argv, {"root", "label", "list-rules"}, kUsage);
+  if (cli.has("list-rules")) {
+    for (const auto& r : rule_catalog())
+      std::printf("%s  %-20s %s\n", r.code, r.name, r.hint);
+    return 0;
   }
-  if (opts.root.empty()) {
-    usage();
+  std::string root = cli.get("root", "");
+  const auto& positional = cli.positional();
+  if (root.empty() && positional.size() == 1) {
+    root = positional.front();
+  } else if (!positional.empty()) {
+    std::fprintf(stderr, "nowlb-lint: unexpected argument '%s'\n",
+                 positional.back().c_str());
+    std::fputs(kUsage, stderr);
     return 2;
   }
-  if (opts.label.empty()) opts.label = opts.root;
+  if (root.empty()) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  std::string label = cli.get("label", root);
   // Strip a trailing slash so labels render as "src/foo.hpp".
-  if (!opts.label.empty() && opts.label.back() == '/') opts.label.pop_back();
+  if (!label.empty() && label.back() == '/') label.pop_back();
 
   try {
-    const LintResult res = run_lint(opts);
-    if (opts.update_baseline) {
-      std::printf("nowlb-lint: baseline rewritten (%zu findings) in %s\n",
-                  res.fresh.size() + res.baselined.size(),
-                  opts.baseline_path.c_str());
-      return 0;
-    }
-    std::fputs(format_findings(res.fresh, opts.label).c_str(), stdout);
-    for (const auto& stale : res.stale_baseline)
-      std::printf("stale baseline entry (fixed? remove it): %s\n",
-                  stale.c_str());
-    std::printf(
-        "nowlb-lint: %d files, %zu fresh finding%s, %zu baselined, "
-        "%zu stale baseline entr%s\n",
-        res.files_scanned, res.fresh.size(),
-        res.fresh.size() == 1 ? "" : "s", res.baselined.size(),
-        res.stale_baseline.size(),
-        res.stale_baseline.size() == 1 ? "y" : "ies");
+    const LintResult res = run_lint(root);
+    std::fputs(format_findings(res.findings, label).c_str(), stdout);
+    std::printf("nowlb-lint: %d files, %zu finding%s\n", res.files_scanned,
+                res.findings.size(), res.findings.size() == 1 ? "" : "s");
     return res.clean() ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "nowlb-lint: %s\n", e.what());

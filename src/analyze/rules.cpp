@@ -1,7 +1,5 @@
 #include "analyze/rules.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <iterator>
 
 namespace nowlb::analyze {
@@ -16,22 +14,13 @@ const std::vector<Rule> kCatalog = {
      "draw from an explicitly seeded nowlb::Rng (util/rng.hpp)"},
     {"D003", kRuleUnordered,
      "iteration order is unspecified: use std::map / sorted vector, or "
-     "whitelist with a justification"},
+     "NOLINT with a reason"},
     {"L001", kRuleLayer,
      "depend downward only (util < msg < sim < obs < data < lb < load/loop "
      "< apps < exp/check); move shared code down a layer"},
     {"L002", kRuleCycle,
      "break the include cycle with a forward declaration or an interface "
      "header"},
-    {"P001", kRuleTagUnhandled,
-     "wire the tag into a handler dispatch or delete it"},
-    {"P002", kRuleTagNoRecv,
-     "add a receive-side dispatch (recv/try_recv/==/case) or delete the tag"},
-    {"F001", kRuleTagNoOrigin,
-     "add a send site for the tag or delete the receive-side dispatch"},
-    {"F002", kRuleTagAsym,
-     "a tag sent inside an endpoint pair must be received inside the same "
-     "pair; fix the missing half or NOLINT with the asymmetry's reason"},
     {"S001", kRuleNolint,
      "write // NOLINT(nowlb-<rule>: <reason>) — the reason is mandatory"},
     {"S002", kRuleNolintStale,
@@ -69,7 +58,9 @@ const TokenBan kWallclock[] = {
 };
 
 // D002 — entropy sources and default-seeded engines. Everything stochastic
-// must flow from an explicit seed through nowlb::Rng.
+// must flow from an explicit seed through nowlb::Rng, the one module
+// allowed to touch them.
+constexpr const char* kEntropyHome = "util/rng.hpp";
 const TokenBan kEntropy[] = {
     {"random_device", "std::random_device", false},
     {"mt19937", "std::mt19937", false},
@@ -87,14 +78,14 @@ const TokenBan kEntropy[] = {
 
 // D003 — unordered associative containers. Hash iteration order is
 // unspecified and libstdc++-version dependent; on any output or decision
-// path it silently breaks bit-reproducibility.
+// path it silently breaks bit-reproducibility. The one exemption is a
+// NOLINT with a reason.
 const char* const kUnordered[] = {
     "unordered_map", "unordered_set", "unordered_multimap",
     "unordered_multiset"};
 
 void scan_tokens(const ScannedFile& f, const Rule* r, const TokenBan* bans,
                  std::size_t n_bans, std::vector<Finding>& out) {
-  std::map<std::string, int> occurrence;
   for (int li = 0; li < f.line_count(); ++li) {
     const std::string& line = f.code[li];
     for (std::size_t b = 0; b < n_bans; ++b) {
@@ -108,8 +99,6 @@ void scan_tokens(const ScannedFile& f, const Rule* r, const TokenBan* bans,
       fd.rel_path = f.rel_path;
       fd.line = li + 1;
       fd.message = std::string(ban.what) + " on a simulation path";
-      fd.key = std::string(ban.token) + "#" +
-               std::to_string(++occurrence[ban.token]);
       out.push_back(std::move(fd));
     }
   }
@@ -123,50 +112,32 @@ const Rule* rule_by_name(const std::string& name) {
   return rule(name.c_str());
 }
 
-RuleConfig default_config() {
-  RuleConfig cfg;
-  // D003 whitelist is intentionally empty: the one historical use
-  // (sim/network.hpp link_busy_until_) was converted to std::map. New
-  // entries need a comment here justifying why iteration order never
-  // escapes — or an inline NOLINT with a reason.
-  cfg.layer_of = {
+const std::map<std::string, int>& layer_of() {
+  static const std::map<std::string, int> kLayers = {
       {"util", 0}, {"msg", 1},  {"sim", 2},  {"obs", 3},
       {"data", 4}, {"lb", 5},   {"load", 6}, {"loop", 6},
       {"apps", 7}, {"exp", 8},  {"check", 8}, {"analyze", 9},
       {"perf", 9},
   };
-  // F002: the master/slave conversation of the generated protocol. A tag
-  // one of these files sends must be received by one of them (self-loops
-  // like slave->slave kTagMove count).
-  cfg.endpoint_pairs = {{"lb/master.cpp", "lb/slave.cpp"}};
-  return cfg;
+  return kLayers;
 }
 
-void run_determinism_rules(const ScannedFile& f, const RuleConfig& cfg,
-                           std::vector<Finding>& out) {
+void run_determinism_rules(const ScannedFile& f, std::vector<Finding>& out) {
   scan_tokens(f, rule(kRuleWallclock), kWallclock, std::size(kWallclock),
               out);
-  if (f.rel_path != cfg.entropy_home)
+  if (f.rel_path != kEntropyHome)
     scan_tokens(f, rule(kRuleEntropy), kEntropy, std::size(kEntropy), out);
 
-  const bool whitelisted =
-      std::find(cfg.unordered_whitelist.begin(),
-                cfg.unordered_whitelist.end(),
-                f.rel_path) != cfg.unordered_whitelist.end();
-  if (!whitelisted) {
-    const Rule* r = rule(kRuleUnordered);
-    std::map<std::string, int> occurrence;
-    for (int li = 0; li < f.line_count(); ++li) {
-      for (const char* tok : kUnordered) {
-        if (find_ident(f.code[li], tok) == std::string::npos) continue;
-        Finding fd;
-        fd.rule = r;
-        fd.rel_path = f.rel_path;
-        fd.line = li + 1;
-        fd.message = std::string("std::") + tok + " outside the whitelist";
-        fd.key = std::string(tok) + "#" + std::to_string(++occurrence[tok]);
-        out.push_back(std::move(fd));
-      }
+  const Rule* r = rule(kRuleUnordered);
+  for (int li = 0; li < f.line_count(); ++li) {
+    for (const char* tok : kUnordered) {
+      if (find_ident(f.code[li], tok) == std::string::npos) continue;
+      Finding fd;
+      fd.rule = r;
+      fd.rel_path = f.rel_path;
+      fd.line = li + 1;
+      fd.message = std::string("std::") + tok + " on a simulation path";
+      out.push_back(std::move(fd));
     }
   }
 }

@@ -123,12 +123,6 @@ Measurement finish(const ExperimentConfig& cfg, RunParts& parts,
   m.efficiency = seq_s / denominator;
 
   if (trace != nullptr && cfg.want_trace && parts.obs != nullptr) {
-    // Application-level series recorded into the world Recorder come
-    // first, in first-recorded order.
-    for (const auto& name : w.recorder().names()) {
-      trace->names.push_back(name);
-      trace->series.push_back(*w.recorder().find(name));
-    }
     const auto& recs = parts.obs->ledger.records();
     trace->rounds.assign(
         recs.begin() + static_cast<std::ptrdiff_t>(parts.ledger_start),

@@ -62,8 +62,7 @@ struct ExperimentConfig {
 /// Trace extracted from a run (for Fig. 9-style plots and --explain).
 /// The lb.* series (lb.raw_rate.N / lb.adj_rate.N / lb.work.N /
 /// lb.period_s) are synthesized from the decision ledger — one point per
-/// decision round; application series recorded into the world Recorder are
-/// copied alongside, in first-recorded order.
+/// decision round.
 struct Trace {
   std::vector<std::string> names;
   std::vector<Series> series;

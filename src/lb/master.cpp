@@ -4,7 +4,6 @@
 #include <limits>
 #include <numeric>
 
-#include "msg/channel.hpp"
 #include "sim/world.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -265,10 +264,9 @@ Task<std::vector<StatusReport>> Master::collect_reports(
         continue;
       }
     } else {
-      auto [s, r] =
-          co_await msg::recv_from_any<StatusReport>(ctx_, kTagReport);
-      src = s;
-      rep = r;
+      const sim::Message m = co_await ctx_.recv(kTagReport);
+      src = m.src;
+      rep = msg::decode<StatusReport>(m.payload);
     }
     const int rank = rank_of(src);
     NOWLB_CHECK(expected[rank], "report from unexpected rank " << rank);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "msg/channel.hpp"
 #include "sim/world.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -192,7 +191,8 @@ Task<Instructions> SlaveAgent::recv_instr() {
     held_instr_.reset();
     co_return ins;
   }
-  co_return co_await msg::recv<Instructions>(ctx_, kTagInstr, master_);
+  const sim::Message m = co_await ctx_.recv(kTagInstr, master_);
+  co_return msg::decode<Instructions>(m.payload);
 }
 
 Task<> SlaveAgent::drain() {

@@ -8,7 +8,7 @@
 //   co_await ctx.send(dst, tag, bytes); // message send (charges sw overhead)
 //   Message m = co_await ctx.recv(tag); // blocking selective receive
 //
-// Typed/serialized variants live in msg/; this layer moves raw bytes.
+// Payloads are raw bytes here; msg/serialize.hpp encodes and decodes them.
 #pragma once
 
 #include <coroutine>
@@ -25,7 +25,6 @@
 namespace nowlb::sim {
 
 class World;
-class Recorder;
 
 /// Suspends a process until it has accumulated `demand` CPU time on its
 /// host, competing with other runnable processes for quantum slices.
@@ -117,7 +116,6 @@ class Context {
   World& world() { return world_; }
   Process& process() { return process_; }
   Rng& rng() { return rng_; }
-  Recorder& recorder();
 
   /// Consume `cpu` of CPU time (sliced by the host scheduler).
   ComputeAwaiter compute(Time cpu) { return ComputeAwaiter{process_, cpu}; }

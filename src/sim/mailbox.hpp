@@ -55,6 +55,8 @@ class Mailbox {
 
   bool has_pending() const { return waiting_; }
   std::size_t queued() const { return q_.size(); }
+  /// The oldest queued message. Precondition: queued() > 0.
+  const Message& front() const { return q_.front(); }
 
  private:
   static bool matches(const Message& m, Tag tag, Pid src) {

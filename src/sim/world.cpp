@@ -1,5 +1,7 @@
 #include "sim/world.hpp"
 
+#include <exception>
+#include <sstream>
 #include <utility>
 
 #include "util/check.hpp"
@@ -54,7 +56,6 @@ Context::Context(World& world, Process& process)
 Pid Context::pid() const { return process_.pid(); }
 int Context::host_id() const { return process_.host().id(); }
 Time Context::now() const { return world_.now(); }
-Recorder& Context::recorder() { return world_.recorder(); }
 
 SleepAwaiter Context::sleep(Time dt) {
   return SleepAwaiter{process_, world_.engine(), dt};
@@ -160,6 +161,20 @@ void World::on_process_done(Process& p) {
   if (p.error()) {
     NOWLB_LOG(Error, "sim") << "process " << p.name() << " failed";
     engine_.fail(p.error());
+    return;
+  }
+  // A process that returns must have received every message sent to it:
+  // one still queued was sent for a receive its code never makes.
+  // Arrivals after this point (retransmissions to a finished rank under
+  // a lossy network) are not checked.
+  if (const std::size_t n = p.mailbox().queued(); n > 0) {
+    const Message& first = p.mailbox().front();
+    std::ostringstream os;
+    os << p.name() << " finished with " << n
+       << " unreceived message(s); the first has tag " << first.tag
+       << " from " << processes_.at(first.src)->name();
+    NOWLB_LOG(Error, "sim") << os.str();
+    engine_.fail(std::make_exception_ptr(CheckFailure(os.str())));
     return;
   }
   NOWLB_LOG(Debug, "sim") << "process " << p.name() << " finished at t="

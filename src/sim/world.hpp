@@ -25,7 +25,6 @@
 #include "sim/process.hpp"
 #include "sim/sink.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 
 namespace nowlb::obs {
@@ -47,7 +46,6 @@ class World {
   const WorldConfig& config() const { return cfg_; }
   Engine& engine() { return engine_; }
   Network& network() { return network_; }
-  Recorder& recorder() { return recorder_; }
   Time now() const { return engine_.now(); }
 
   /// Attach a trace sink (owned; replaced on re-attach, null detaches).
@@ -90,7 +88,10 @@ class World {
   void kill(Pid pid);
 
   /// Run until every essential process has finished (or a process failed,
-  /// in which case the error is rethrown here).
+  /// in which case the error is rethrown here). A process whose body
+  /// returns while a message is still queued for it fails the run with a
+  /// CheckFailure naming it, the count, and the first message's tag and
+  /// sender.
   void run();
 
   /// Run until virtual time `t`.
@@ -110,7 +111,6 @@ class World {
   WorldConfig cfg_;
   Engine engine_;
   Network network_;
-  Recorder recorder_;
   std::unique_ptr<TraceSink> sink_;
   obs::Observability* obs_ = nullptr;  // opaque; never dereferenced by sim
   bool owns_log_clock_ = false;

@@ -3,11 +3,10 @@
 // Task<T> is a lazily-started C++20 coroutine with symmetric transfer: a
 // simulated process is an ordinary coroutine returning Task<>, suspended
 // on primitive awaitables (compute / sleep / recv) and resumed by the
-// engine at the right virtual time; helper coroutines (typed sends,
-// collectives, application phases) compose without stack growth or manual
+// engine at the right virtual time; helper coroutines (protocol
+// receives, application phases) compose without stack growth or manual
 // callbacks. The type itself is pure coroutine machinery with no
-// simulator dependency, which is why it lives in util: msg-layer
-// templates return Task without pulling in the sim layer (sim/task.hpp
+// simulator dependency, which is why it lives in util (sim/task.hpp
 // re-exports it as sim::Task).
 //
 // Lifetime: Task owns the coroutine frame and destroys it in its destructor.

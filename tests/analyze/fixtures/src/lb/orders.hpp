@@ -1,19 +1,12 @@
-// P-rule fixture: three wire tags with three fates.
+// L001 fixture target: a plain lb (layer 5) header that util/upward.hpp
+// reaches up into. L001 only reports includes that resolve to a scanned
+// file, so the header must exist.
 #pragma once
-
-namespace sim {
-using Tag = int;
-}
 
 namespace lbfx {
 
-// Declared, sent, and examined on the receive side (sender.cpp): clean.
-inline constexpr sim::Tag kTagGood = 7001;
-
-// Declared and sent, but no recv/comparison anywhere: P002.
-inline constexpr sim::Tag kTagBlast = 7002;
-
-// Declared and never referenced again: P001.
-inline constexpr sim::Tag kTagOrphan = 7003;
+struct Order {
+  int units = 0;
+};
 
 }  // namespace lbfx

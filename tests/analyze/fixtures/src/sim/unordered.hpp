@@ -8,7 +8,7 @@
 namespace fx {
 
 struct Registry {
-  // Fresh finding: no whitelist entry, no suppression.
+  // Fresh finding: no suppression.
   std::unordered_map<int, int> by_id;
 
   // Properly suppressed: justified, so no finding.

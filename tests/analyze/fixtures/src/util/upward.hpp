@@ -4,5 +4,5 @@
 #include "lb/orders.hpp"
 
 namespace fx {
-inline int peek_tag() { return lbfx::kTagGood; }
+inline int peek_units(const lbfx::Order& o) { return o.units; }
 }  // namespace fx

@@ -257,7 +257,9 @@ TEST(CriticalPath, CoversTheRunAndOrdersSteps) {
 }
 
 TEST(Runfile, RoundtripPreservesTheGraph) {
-  check::Scenario sc = check::generate_scenario(3, check::App::kMm);
+  // Seed 9 moves work, so migration spans and nonzero units_moved must
+  // survive the round trip too.
+  check::Scenario sc = check::generate_scenario(9, check::App::kMm);
   obs::Observability hub;
   const check::FuzzResult res = run_with_hub(sc, hub);
   ASSERT_TRUE(res.ok);
@@ -279,12 +281,19 @@ TEST(Runfile, RoundtripPreservesTheGraph) {
   EXPECT_EQ(after.nranks, before.nranks);
   ASSERT_EQ(after.rounds.size(), before.rounds.size());
   EXPECT_EQ(after.spans.size(), before.spans.size());
+  bool moved = false;
   for (std::size_t i = 0; i < after.rounds.size(); ++i) {
     EXPECT_EQ(after.rounds[i].round, before.rounds[i].round);
     EXPECT_EQ(after.rounds[i].units_moved, before.rounds[i].units_moved);
     EXPECT_NEAR(after.rounds[i].efficiency, before.rounds[i].efficiency,
                 1e-12);
+    moved = moved || after.rounds[i].units_moved > 0;
   }
+  EXPECT_TRUE(moved) << "no round moved work";
+  int migrations = 0;
+  for (const obs::CausalSpan& s : after.spans)
+    migrations += s.kind == obs::SpanKind::kMigration ? 1 : 0;
+  EXPECT_GT(migrations, 0) << "no migration span survived the round trip";
   EXPECT_NEAR(after.efficiency(), before.efficiency(), 1e-12);
 
   // Writing the loaded run again reproduces the exact same file: the

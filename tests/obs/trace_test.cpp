@@ -15,6 +15,7 @@
 #include "check/scenario.hpp"
 #include "exp/harness.hpp"
 #include "load/generators.hpp"
+#include "obs/causal.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
@@ -113,6 +114,9 @@ TEST(ChromeTrace, HarnessRunExportsNamedMonotonicTrace) {
   EXPECT_NE(json.find("\"slave0\""), std::string::npos);
   EXPECT_NE(json.find("\"lb.decision\""), std::string::npos);
   EXPECT_NE(json.find("\"msg.send\""), std::string::npos);
+  // A harness run's causal annotations satisfy all five well-formedness
+  // rules of obs/causal.cpp.
+  EXPECT_TRUE(obs::build_causal_graph(hub.trace, hub.ledger).well_formed());
 }
 
 std::uint64_t fnv1a(const std::string& bytes) {

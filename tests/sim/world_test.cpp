@@ -1,10 +1,13 @@
-// World integration tests: messaging, network timing, teardown, errors.
+// World integration tests: messaging, network timing, teardown, errors,
+// and the rule that a process must not finish with a message queued.
 #include "sim/world.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+
+#include "util/check.hpp"
 
 namespace nowlb::sim {
 namespace {
@@ -218,20 +221,45 @@ TEST(World, RecvOverheadChargesReceiverCpu) {
   EXPECT_EQ(w.cpu_used(rx), 3 * kMillisecond);
 }
 
-TEST(World, RecorderCollectsSeries) {
+TEST(World, FinishingWithAnUnreceivedMessageFailsTheRun) {
   World w(zero_overhead());
   auto& h0 = w.add_host();
-  w.spawn(h0, "p", [](Context& ctx) -> Task<> {
-    ctx.recorder().record("x", ctx.now(), 1.0);
-    co_await ctx.compute(kSecond);
-    ctx.recorder().record("x", ctx.now(), 2.0);
+  auto& h1 = w.add_host();
+  Pid rx = w.spawn(h1, "rx", [](Context& ctx) -> Task<> {
+    co_await ctx.recv(1);
+    co_await ctx.compute(10 * kMillisecond);  // tag 9005 lands meanwhile
   });
-  w.run();
-  const Series* s = w.recorder().find("x");
-  ASSERT_NE(s, nullptr);
-  ASSERT_EQ(s->size(), 2u);
-  EXPECT_DOUBLE_EQ(s->v[0], 1.0);
-  EXPECT_DOUBLE_EQ(s->t[1], 1.0);
+  w.spawn(h0, "tx", [&](Context& ctx) -> Task<> {
+    co_await ctx.send(rx, 1, Bytes{});
+    co_await ctx.send(rx, 9005, Bytes{});  // nothing ever receives it
+  });
+  try {
+    w.run();
+    FAIL() << "a stray message went unnoticed";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rx finished with 1 unreceived message(s)"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("tag 9005 from tx"), std::string::npos) << what;
+  }
+}
+
+TEST(World, MessageArrivingAfterItsReceiverFinishedIsNotAnError) {
+  World w(zero_overhead());
+  auto& h0 = w.add_host();
+  auto& h1 = w.add_host();
+  Pid rx = w.spawn(h1, "rx", [](Context& ctx) -> Task<> {
+    co_await ctx.recv(1);
+  });
+  w.spawn(h0, "tx", [&](Context& ctx) -> Task<> {
+    co_await ctx.send(rx, 1, Bytes{});
+    co_await ctx.compute(5 * kMillisecond);
+    co_await ctx.send(rx, 2, Bytes{});  // lands after rx has returned
+    co_await ctx.compute(5 * kMillisecond);
+  });
+  EXPECT_NO_THROW(w.run());
+  EXPECT_EQ(w.process(rx).mailbox().queued(), 1u);
 }
 
 TEST(World, DeterministicAcrossRuns) {
