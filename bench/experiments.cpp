@@ -2,13 +2,13 @@
 //
 //   nowlb-experiments                   # every experiment, in paper order
 //   nowlb-experiments fig5 fig8         # the named ones
-//   nowlb-experiments fig5 --n=200 --trace=t.json --metrics=m.prom
+//   nowlb-experiments fig5 --n=200 --max-slaves=3 --reps=1
 //
 // A flag applies to each named experiment that reads it; the others keep
-// their defaults. --trace and --metrics attach one flight recorder to every
-// run and write it out at the end; status lines go to stderr, so stdout is
-// the same with or without them. bench/experiments.txt holds the output at
-// default flags, and the experiments_output test compares against it.
+// their defaults. A value no named experiment can run with exits 2 before
+// any run. bench/experiments.txt holds the output at default flags, and
+// the experiments_output test compares against it. To record one run of a
+// figure, use `nowlb-inspect --record`.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -21,7 +21,7 @@
 #include "exp/registry.hpp"
 #include "loop/hooks.hpp"
 #include "loop/spec.hpp"
-#include "obs/obs.hpp"
+#include "obs/ledger.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -32,10 +32,11 @@ using exp::Workload;
 
 namespace {
 
+constexpr int kMaxSlaves = 7;  // --max-slaves default
+
 /// The command line, as each experiment reads it.
 struct Flags {
   const Cli& cli;
-  obs::Observability* obs;  // the --trace/--metrics hub, or null
 
   int get(const char* name, int fallback) const {
     return static_cast<int>(cli.get_int(name, fallback));
@@ -45,11 +46,6 @@ struct Flags {
     w.n = get("n", w.n);
     if (w.app == App::kSor) w.outer = get("sweeps", w.outer);
     return w;
-  }
-  exp::ExperimentConfig config(const Workload& w, int slaves) const {
-    exp::ExperimentConfig cfg = exp::config(w, slaves);
-    cfg.obs = obs;
-    return cfg;
   }
 };
 
@@ -126,8 +122,8 @@ void sweep(const Flags& f, const Workload& w, const std::string& title) {
   }
   const int reps = f.get("reps", 3);
   const double seq = exp::seq_time_s(w);
-  for (int s = 1; s <= f.get("max-slaves", 7); ++s) {
-    const auto cfg = f.config(w, s);
+  for (int s = 1; s <= f.get("max-slaves", kMaxSlaves); ++s) {
+    const auto cfg = exp::config(w, s);
     const auto par = measure(reps, w, /*use_lb=*/false, cfg);
     const auto dlb = measure(reps, w, /*use_lb=*/true, cfg);
     t.row().cell(s);
@@ -169,14 +165,14 @@ void fig8(const Flags& f) {
         "Fig 8: SOR " + square(w) + ", constant competing load on slave 0");
 }
 
-void print_normalized(const char* label, const Series* s, double norm) {
-  if (s == nullptr || s->size() == 0) {
+void print_normalized(const char* label, const std::vector<double>& t,
+                      std::vector<double> v, double norm) {
+  if (v.empty()) {
     std::cout << label << ": (no data)\n";
     return;
   }
-  std::vector<double> v = s->v;
   for (auto& x : v) x /= norm;
-  std::cout << ascii_chart(s->t, v, 72, 10, label);
+  std::cout << ascii_chart(t, v, 72, 10, label);
 }
 
 // Fig. 9: work assignment tracking an oscillating load on slave 0 of 4.
@@ -188,7 +184,7 @@ void print_normalized(const char* label, const Series* s, double norm) {
 void fig9(const Flags& f) {
   Workload w = f.sized(figure("fig9.mm_oscillating"));
   w.outer = f.get("repeats", w.outer);
-  exp::ExperimentConfig cfg = f.config(w, 4);
+  exp::ExperimentConfig cfg = exp::config(w, 4);
   cfg.want_trace = true;
 
   exp::Trace trace;
@@ -200,32 +196,35 @@ void fig9(const Flags& f) {
             << " balancing rounds, " << m.stats.units_moved
             << " columns moved\n\n";
 
-  const Series* raw = trace.find("lb.raw_rate.0");
-  const Series* adj = trace.find("lb.adj_rate.0");
-  const Series* work = trace.find("lb.work.0");
-
+  // Slave 0's series: one point per round where the planner ran.
+  std::vector<double> times, raw, adj, work;
   double max_rate = 1e-9;
-  if (raw != nullptr) {
-    for (double v : raw->v) max_rate = std::max(max_rate, v);
+  for (const obs::DecisionRecord& r : trace.rounds) {
+    if (!obs::planner_ran(r.gate)) continue;
+    times.push_back(sim::to_seconds(r.t));
+    raw.push_back(r.raw_rates[0]);
+    adj.push_back(r.rates[0]);
+    work.push_back(static_cast<double>(r.target[0]));
+    max_rate = std::max(max_rate, r.raw_rates[0]);
   }
   const double equal_share = static_cast<double>(w.n) / cfg.slaves;
 
-  print_normalized("raw rate (normalized to max)", raw, max_rate);
+  print_normalized("raw rate (normalized to max)", times, raw, max_rate);
   std::cout << '\n';
-  print_normalized("adjusted (filtered) rate", adj, max_rate);
+  print_normalized("adjusted (filtered) rate", times, adj, max_rate);
   std::cout << '\n';
-  print_normalized("work assignment (normalized to equal share)", work,
+  print_normalized("work assignment (normalized to equal share)", times, work,
                    equal_share);
 
-  // The numbers behind the charts: one row per round where the planner ran.
+  // The numbers behind the charts.
   Table t("Fig 9 series (slave 0)");
   t.header({"t(s)", "raw", "adjusted", "work"});
-  for (std::size_t i = 0; raw != nullptr && i < raw->size(); ++i) {
+  for (std::size_t i = 0; i < times.size(); ++i) {
     t.row()
-        .cell(raw->t[i], 1)
-        .cell(raw->v[i] / max_rate, 3)
-        .cell(adj->v[i] / max_rate, 3)
-        .cell(work->v[i] / equal_share, 3);
+        .cell(times[i], 1)
+        .cell(raw[i] / max_rate, 3)
+        .cell(adj[i] / max_rate, 3)
+        .cell(work[i] / equal_share, 3);
   }
   print_table(t);
 }
@@ -243,7 +242,7 @@ void pipeline(const Flags& f) {
   t.header({"net latency(ms)", "sync(s)", "pipelined(s)", "sync eff",
             "pipe eff"});
   for (double latency_ms : {0.1, 1.0, 5.0, 20.0}) {
-    exp::ExperimentConfig cfg = f.config(w, 6);
+    exp::ExperimentConfig cfg = exp::config(w, 6);
     cfg.world.net.latency = sim::from_seconds(latency_ms / 1000.0);
     cfg.lb.pipelined = false;
     const auto sync = measure(reps, w, /*use_lb=*/true, cfg);
@@ -286,7 +285,7 @@ void refinements(const Flags& f) {
           "(MM x4, 4 slaves)");
   t.header({"variant", "time(s)", "efficiency", "moves", "units moved"});
   for (const auto& v : variants) {
-    exp::ExperimentConfig cfg = f.config(w, 4);
+    exp::ExperimentConfig cfg = exp::config(w, 4);
     cfg.lb.filtering = v.filtering;
     cfg.lb.improvement_threshold = v.threshold;
     cfg.lb.profitability_check = v.profitability;
@@ -319,7 +318,7 @@ void grain(const Flags& f) {
   t.header({"block rows", "time(s)", "efficiency", "units moved"});
   for (int bs : {1, 4, 0 /*auto*/, 120, 499}) {
     w.block_rows = bs;
-    const auto r = measure(reps, w, /*use_lb=*/true, f.config(w, 6));
+    const auto r = measure(reps, w, /*use_lb=*/true, exp::config(w, 6));
     t.row()
         .cell(bs == 0 ? std::string("auto (1.5x quantum)")
                       : std::to_string(bs))
@@ -372,7 +371,7 @@ void lu(const Flags& f) {
   for (int s : {4, 6}) {
     for (const Load load : {Load::kNone, Load::kConstant}) {
       w.load = load;
-      const auto cfg = f.config(w, s);
+      const auto cfg = exp::config(w, s);
       const auto par = measure(reps, w, /*use_lb=*/false, cfg);
       const auto dlb = measure(reps, w, /*use_lb=*/true, cfg);
       t.row()
@@ -394,14 +393,22 @@ void lu(const Flags& f) {
 struct Experiment {
   const char* name;
   void (*print)(const Flags&);
+  App app;     // the application --n sizes
+  int slaves;  // the most slaves it runs `app` on; 0: --max-slaves
 };
 
 // Paper order: what no name on the command line prints.
 constexpr Experiment kExperiments[] = {
-    {"tab1", table1},         {"fig5", fig5},         {"fig6", fig6},
-    {"fig7", fig7},           {"fig8", fig8},         {"fig9", fig9},
-    {"pipeline", pipeline},   {"refinements", refinements},
-    {"grain", grain},         {"lu", lu},
+    {"tab1", table1, App::kMm, 1},
+    {"fig5", fig5, App::kMm, 0},
+    {"fig6", fig6, App::kSor, 0},
+    {"fig7", fig7, App::kMm, 0},
+    {"fig8", fig8, App::kSor, 0},
+    {"fig9", fig9, App::kMm, 4},
+    {"pipeline", pipeline, App::kMm, 6},
+    {"refinements", refinements, App::kMm, 4},
+    {"grain", grain, App::kSor, 6},
+    {"lu", lu, App::kLu, 6},
 };
 
 std::string usage() {
@@ -410,17 +417,41 @@ std::string usage() {
       "Prints the named experiments, or all of them in paper order.\n"
       "experiments:";
   for (const Experiment& e : kExperiments) u += std::string(" ") + e.name;
-  u += "\nflags: --reps --max-slaves --n --sweeps --repeats --trace=FILE "
-       "--metrics=FILE --help\n";
+  u += "\nflags: --reps --max-slaves --n --sweeps --repeats --help\n";
   return u;
+}
+
+/// Whether every flag value suits the chosen experiments; if not, says
+/// which flag is out of range.
+bool values_ok(const Cli& cli, const std::vector<const Experiment*>& chosen) {
+  for (const char* flag : {"reps", "max-slaves", "n", "sweeps", "repeats"}) {
+    if (cli.get_int(flag, 1) < 1) {
+      std::cerr << "--" << flag << "=" << cli.get(flag, "")
+                << " must be a positive integer\n";
+      return false;
+    }
+  }
+  if (!cli.has("n")) return true;
+  const long long n = cli.get_int("n", 0);
+  for (const Experiment* e : chosen) {
+    const int slaves = e->slaves > 0 ? e->slaves
+                                     : static_cast<int>(cli.get_int(
+                                           "max-slaves", kMaxSlaves));
+    const int least = exp::min_n(e->app, slaves);
+    if (n < least) {
+      std::cerr << "--n=" << n << " is too small for " << e->name << ": "
+                << apps::app_name(e->app) << " on " << slaves
+                << " slaves needs --n >= " << least << "\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv,
-                {"reps", "max-slaves", "n", "sweeps", "repeats", "trace",
-                 "metrics"},
+  const Cli cli(argc, argv, {"reps", "max-slaves", "n", "sweeps", "repeats"},
                 usage());
   std::vector<const Experiment*> chosen;
   for (const std::string& name : cli.positional()) {
@@ -436,12 +467,9 @@ int main(int argc, char** argv) {
   if (chosen.empty()) {
     for (const Experiment& e : kExperiments) chosen.push_back(&e);
   }
+  if (!values_ok(cli, chosen)) return 2;
 
-  obs::Observability hub;
-  const Flags flags{cli,
-                    cli.has("trace") || cli.has("metrics") ? &hub : nullptr};
+  const Flags flags{cli};
   for (const Experiment* e : chosen) e->print(flags);
-  return obs::write_files(hub, cli.get("trace", ""), cli.get("metrics", ""))
-             ? 0
-             : 2;
+  return 0;
 }

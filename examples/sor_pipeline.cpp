@@ -8,9 +8,11 @@
 //
 //   ./examples/sor_pipeline [--n=2000] [--sweeps=20] [--slaves=6] [--oscillate]
 #include <iostream>
+#include <vector>
 
 #include "exp/harness.hpp"
 #include "load/generators.hpp"
+#include "obs/ledger.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -53,8 +55,15 @@ int main(int argc, char** argv) {
             << dy.efficiency << "  (" << dy.stats.rounds << " rounds, "
             << dy.stats.units_moved << " columns moved)\n\n";
 
-  if (const Series* work = trace.find("lb.work.0")) {
-    std::cout << ascii_chart(work->t, work->v, 72, 10,
+  // Slave 0's target after each round where the planner ran.
+  std::vector<double> times, work;
+  for (const obs::DecisionRecord& r : trace.rounds) {
+    if (!obs::planner_ran(r.gate)) continue;
+    times.push_back(sim::to_seconds(r.t));
+    work.push_back(static_cast<double>(r.target[0]));
+  }
+  if (!times.empty()) {
+    std::cout << ascii_chart(times, work, 72, 10,
                              "columns assigned to slave 0 over time");
   }
   return 0;

@@ -10,13 +10,17 @@
 //   nowlb-fuzz --seeds=50 --inject-fault=skip-credit   # prove detection
 //   nowlb-fuzz --seeds=50 --drop-rate=0.05 --dup-rate=0.02   # lossy net
 //   nowlb-fuzz --app=mm --seeds=25 --drop-rate=0.05 --kill-slave=1@3
+//   nowlb-fuzz --app=mm --seed=7 --record=mm7.nir   # then nowlb-inspect
 
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "check/scenario.hpp"
 #include "obs/obs.hpp"
+#include "obs/runfile.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 
@@ -102,21 +106,18 @@ int main(int argc, char** argv) {
   const nowlb::Cli cli(
       argc, argv,
       {"seeds", "base", "seed", "app", "log", "inject-fault", "verbose",
-       "drop-rate", "dup-rate", "reorder-us", "kill-slave", "trace",
-       "metrics", "explain"},
+       "drop-rate", "dup-rate", "reorder-us", "kill-slave", "record"},
       "usage: nowlb-fuzz [--seeds=N] [--base=B] [--seed=S]\n"
       "                  [--app=mm|sor|lu|all] [--inject-fault=skip-credit|"
       "wrong-round]\n"
       "                  [--drop-rate=P] [--dup-rate=P] [--reorder-us=D]\n"
       "                  [--kill-slave=RANK@ROUND]  (MM only)\n"
-      "                  [--trace=FILE] [--metrics=FILE] [--explain]\n"
+      "                  [--record=FILE]  (one --seed of one --app)\n"
       "                  [--log=LEVEL|component=LEVEL,...] [--verbose]\n"
       "\n"
-      "  --trace=FILE    write a Chrome trace_event JSON (Perfetto/\n"
-      "                  about://tracing) of every run in the sweep\n"
-      "  --metrics=FILE  dump the metrics registry as Prometheus text\n"
-      "  --explain       print the decision ledger: one line per\n"
-      "                  balancing round with rates, gate and moves\n");
+      "  --record=FILE   write the scenario's run file: every trace event,\n"
+      "                  the decision ledger and the metrics; nowlb-inspect\n"
+      "                  --report=FILE checks and exports it\n");
 
   const std::string app_flag = cli.get("app", "all");
   std::vector<App> apps;
@@ -201,17 +202,20 @@ int main(int argc, char** argv) {
   }
   const bool verbose = cli.get_bool("verbose", nseeds == 1);
 
-  // Flight recorder, shared across the sweep. Attaching it never perturbs
-  // the simulation (identical trace hash), so --trace/--explain replay the
-  // exact run they explain. File status goes to stderr: stdout stays
+  // Flight recorder for one scenario. Attaching it never perturbs the
+  // simulation (identical trace hash), so the file holds the exact run a
+  // bare replay performs. File status goes to stderr: stdout stays
   // byte-identical with recording on or off.
-  const std::string trace_path = cli.get("trace", "");
-  const std::string metrics_path = cli.get("metrics", "");
-  const bool explain = cli.get_bool("explain", false);
-  const bool want_obs =
-      !trace_path.empty() || !metrics_path.empty() || explain;
+  const std::string record_path = cli.get("record", "");
+  if (cli.has("record") && (nseeds != 1 || apps.size() != 1)) {
+    std::fprintf(stderr,
+                 "--record needs one scenario: --seed=S and "
+                 "--app=mm|sor|lu\n");
+    return 2;
+  }
   nowlb::obs::Observability hub;
-  nowlb::obs::Observability* obs = want_obs ? &hub : nullptr;
+  nowlb::obs::Observability* obs = cli.has("record") ? &hub : nullptr;
+  std::map<std::string, std::string> meta;
 
   int runs = 0;
   std::vector<FailureRecord> failed;
@@ -219,7 +223,6 @@ int main(int argc, char** argv) {
     for (App app : apps) {
       Scenario sc = nowlb::check::generate_scenario(seed, app);
       if (plan.any()) nowlb::check::apply_fault_plan(sc, plan);
-      const std::size_t ledger_mark = hub.ledger.records().size();
       const FuzzResult res = nowlb::check::run_scenario(sc, fault, obs);
       ++runs;
       if (verbose) {
@@ -228,15 +231,12 @@ int main(int argc, char** argv) {
                     res.elapsed_s,
                     static_cast<unsigned long long>(res.trace_hash));
       }
-      if (explain) {
-        const auto& recs = hub.ledger.records();
-        std::printf("-- decision ledger: %s (%zu round(s)) --\n",
-                    sc.describe().c_str(), recs.size() - ledger_mark);
-        for (std::size_t i = ledger_mark; i < recs.size(); ++i) {
-          std::printf(
-              "%s\n",
-              nowlb::obs::DecisionLedger::explain_line(recs[i]).c_str());
-        }
+      if (obs != nullptr) {
+        meta = {{"app", app_name(sc.app)},
+                {"scenario", sc.describe()},
+                {"replay", repro_command(sc, fault_flag, plan)},
+                {"result", res.ok ? "ok" : "FAIL"},
+                {"elapsed_s", std::to_string(res.elapsed_s)}};
       }
       if (res.ok) continue;
 
@@ -266,7 +266,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!nowlb::obs::write_files(hub, trace_path, metrics_path)) return 2;
+  if (obs != nullptr) {
+    std::ofstream out(record_path);
+    nowlb::obs::write_runfile(out, hub.trace, hub.ledger,
+                              hub.metrics.prometheus_text(), meta);
+    if (!out.flush()) {
+      std::fprintf(stderr, "record: failed to write %s\n",
+                   record_path.c_str());
+      return 2;
+    }
+    std::fprintf(stderr, "record: wrote %s (%zu events, %zu ledger rounds)\n",
+                 record_path.c_str(), hub.trace.events().size(),
+                 hub.ledger.records().size());
+  }
 
   if (failed.empty()) {
     std::printf("nowlb-fuzz: %d scenario(s) passed, 0 failed\n", runs);

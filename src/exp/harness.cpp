@@ -6,13 +6,6 @@
 
 namespace nowlb::exp {
 
-const Series* Trace::find(const std::string& name) const {
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return &series[i];
-  }
-  return nullptr;
-}
-
 sim::WorldConfig paper_world() {
   sim::WorldConfig wc;  // defaults are the paper calibration (DESIGN.md §5)
   return wc;
@@ -28,7 +21,6 @@ namespace {
 struct RunParts {
   std::unique_ptr<obs::Observability> local_obs;
   obs::Observability* obs = nullptr;   // effective hub (external or local)
-  std::size_t ledger_start = 0;        // first record belonging to this run
   sim::World world;
   lb::Cluster cluster;
 
@@ -37,7 +29,6 @@ struct RunParts {
                       ? std::make_unique<obs::Observability>()
                       : nullptr),
         obs(cfg.obs != nullptr ? cfg.obs : local_obs.get()),
-        ledger_start(obs != nullptr ? obs->ledger.records().size() : 0),
         world(cfg.world),
         // The hub must be attached before the cluster spawns the master
         // and slaves: their emitters bind to it at construction.
@@ -48,49 +39,6 @@ struct RunParts {
     return w;
   }
 };
-
-/// Rebuild the classic fig9 series from the decision ledger. Only rounds
-/// where the planner actually ran (move/threshold/profit/hold gates)
-/// produce points — the same rounds the old recorder-based path traced.
-void synthesize_lb_series(const std::vector<obs::DecisionRecord>& rounds,
-                          Trace* trace) {
-  auto add_point = [trace](const std::string& name, double t, double v) {
-    for (std::size_t i = 0; i < trace->names.size(); ++i) {
-      if (trace->names[i] == name) {
-        trace->series[i].add(t, v);
-        return;
-      }
-    }
-    trace->names.push_back(name);
-    trace->series.emplace_back();
-    trace->series.back().add(t, v);
-  };
-  for (const auto& rec : rounds) {
-    switch (rec.gate) {
-      case obs::Gate::kMove:
-      case obs::Gate::kBelowThreshold:
-      case obs::Gate::kNotProfitable:
-      case obs::Gate::kHold:
-        break;
-      default:
-        continue;  // wind-down / frozen rounds: no planner output
-    }
-    const double t = sim::to_seconds(rec.t);
-    for (std::size_t r = 0; r < rec.raw_rates.size(); ++r) {
-      // Build each name via append (GCC 12's -O3 -Wrestrict misfires on
-      // the `const char* + std::string&&` operator+ overload here).
-      std::string suffix = ".";
-      suffix += std::to_string(r);
-      std::string name = "lb.raw_rate";
-      add_point(name + suffix, t, rec.raw_rates[r]);
-      name = "lb.adj_rate";
-      add_point(name + suffix, t, rec.rates[r]);
-      name = "lb.work";
-      add_point(name + suffix, t, static_cast<double>(rec.target[r]));
-    }
-    add_point("lb.period_s", t, rec.period_s);
-  }
-}
 
 Measurement finish(const ExperimentConfig& cfg, RunParts& parts,
                    double seq_s, Trace* trace) {
@@ -123,11 +71,7 @@ Measurement finish(const ExperimentConfig& cfg, RunParts& parts,
   m.efficiency = seq_s / denominator;
 
   if (trace != nullptr && cfg.want_trace && parts.obs != nullptr) {
-    const auto& recs = parts.obs->ledger.records();
-    trace->rounds.assign(
-        recs.begin() + static_cast<std::ptrdiff_t>(parts.ledger_start),
-        recs.end());
-    synthesize_lb_series(trace->rounds, trace);
+    trace->rounds = parts.obs->ledger.records();
   }
   return m;
 }

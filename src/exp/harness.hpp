@@ -11,7 +11,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "apps/lu.hpp"
@@ -50,26 +49,21 @@ struct ExperimentConfig {
   lb::LbConfig lb;
   sim::WorldConfig world;
   std::vector<LoadSpec> loads;
-  /// Extract the run's balancing timeline into the Trace output: decision
-  /// records and the lb.* series synthesized from them.
+  /// Extract the run's balancing timeline into the Trace output.
   bool want_trace = false;
-  /// Optional external flight recorder (not owned; must outlive the run) —
-  /// e.g. one hub shared by a whole bench sweep. When null and want_trace
-  /// is set, a run-local hub is created automatically.
+  /// Optional external flight recorder (not owned; must outlive the run),
+  /// e.g. the hub a run file is written from. A hub records one run:
+  /// every run restarts hosts, pids and virtual time at 0. When null and
+  /// want_trace is set, a run-local hub is created automatically.
   obs::Observability* obs = nullptr;
 };
 
-/// Trace extracted from a run (for Fig. 9-style plots and --explain).
-/// The lb.* series (lb.raw_rate.N / lb.adj_rate.N / lb.work.N /
-/// lb.period_s) are synthesized from the decision ledger — one point per
-/// decision round.
+/// A run's balancing timeline (for Fig. 9-style plots).
 struct Trace {
-  std::vector<std::string> names;
-  std::vector<Series> series;
   /// Decision-ledger records, one per balancing round (all gates,
-  /// including phase wind-down and recovery-frozen rounds).
+  /// including phase wind-down and recovery-frozen rounds; filter with
+  /// obs::planner_ran).
   std::vector<obs::DecisionRecord> rounds;
-  const Series* find(const std::string& name) const;
 };
 
 Measurement run_mm(const apps::MmConfig& app, const ExperimentConfig& cfg,

@@ -1,28 +1,33 @@
-// nowlb-inspect: record a run to a run file, then explain where its time
-// went — per-round causal breakdowns, a parallel-efficiency series, the
-// critical path, and an A/B diff of two runs (DESIGN.md §13).
+// nowlb-inspect: record one run of a paper figure to a run file, then read
+// run files back: check them against the causal rules, explain where the
+// time went (per-round breakdowns, a parallel-efficiency series, the
+// critical path), export them, and diff two runs (DESIGN.md §13).
 //
-//   nowlb-inspect --record=bal.nir --app=mm --n=160 --load=0
-//   nowlb-inspect --record=nolb.nir --app=mm --n=160 --load=0 --no-balance
+//   nowlb-inspect --record=bal.nir --figure=fig7.mm_loaded --n=160
+//   nowlb-inspect --record=static.nir --figure=fig7.mm_loaded --n=160
+//                 --no-balance
 //   nowlb-inspect --report=bal.nir --top=5
-//   nowlb-inspect --report=bal.nir --json
-//   nowlb-inspect --report=bal.nir --diff=nolb.nir
+//   nowlb-inspect --report=bal.nir --format=json
+//   nowlb-inspect --report=bal.nir --format=chrome > bal.json  # Perfetto
+//   nowlb-inspect --report=bal.nir --diff=static.nir
 //
-// The diff is the paper's Figs. 5-9 claim as a single number: the same
-// workload with balancing on vs off, compared by measured efficiency.
-// Malformed or truncated run files fail the load with a nonzero exit.
+// --report exits 1 when the run breaks a causal rule, so it is also the
+// check of a recording. The diff is the paper's Figs. 5-9 claim as a
+// single number: the same workload with balancing on and as the static
+// program (no master), compared by measured efficiency. Malformed or
+// truncated run files fail the load with a nonzero exit.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 
-#include "apps/mm.hpp"
-#include "apps/sor.hpp"
-#include "exp/harness.hpp"
-#include "load/generators.hpp"
+#include "exp/registry.hpp"
 #include "obs/causal.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
@@ -38,76 +43,73 @@ using nowlb::obs::RoundBreakdown;
 
 int record(const nowlb::Cli& cli) {
   const std::string path = cli.get("record", "");
-  const std::string app = cli.get("app", "mm");
-  const int slaves = static_cast<int>(cli.get_int("slaves", 4));
-  const int load_rank = static_cast<int>(cli.get_int("load", -1));
-  const bool no_balance = cli.get_bool("no-balance", false);
-
-  nowlb::obs::Observability hub;
-  nowlb::exp::ExperimentConfig cfg;
-  cfg.slaves = slaves;
-  cfg.world = nowlb::exp::paper_world();
-  cfg.world.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1994));
-  cfg.lb = nowlb::exp::paper_lb();
-  if (no_balance) {
-    // Balancing off: the gate can never pass, so no work ever moves — the
-    // paper's "without load balancing" baseline.
-    cfg.lb.improvement_threshold = 1e18;
-  }
-  if (load_rank >= 0) {
-    if (load_rank >= slaves) {
-      std::fprintf(stderr, "--load=%d out of range (%d slaves)\n", load_rank,
-                   slaves);
-      return 2;
-    }
-    cfg.loads.push_back(
-        {load_rank, [] { return nowlb::load::constant(); }});
-  }
-  cfg.obs = &hub;
-
-  nowlb::exp::Measurement m;
-  std::map<std::string, std::string> meta;
-  if (app == "mm") {
-    nowlb::apps::MmConfig mm;
-    mm.n = static_cast<int>(cli.get_int("n", 160));
-    mm.repeats = static_cast<int>(cli.get_int("repeats", 1));
-    m = nowlb::exp::run_mm(mm, cfg);
-    meta["n"] = std::to_string(mm.n);
-  } else if (app == "sor") {
-    nowlb::apps::SorConfig sor;
-    sor.n = static_cast<int>(cli.get_int("n", 400));
-    sor.sweeps = static_cast<int>(cli.get_int("repeats", 8));
-    m = nowlb::exp::run_sor(sor, cfg);
-    meta["n"] = std::to_string(sor.n);
-  } else {
-    std::fprintf(stderr, "unknown --app=%s (mm|sor)\n", app.c_str());
+  const std::string figure = cli.get("figure", "");
+  const auto& figs = nowlb::exp::figures();
+  const auto fig =
+      std::find_if(figs.begin(), figs.end(),
+                   [&](const nowlb::exp::Figure& f) { return figure == f.name; });
+  if (fig == figs.end()) {
+    std::fprintf(stderr, "unknown --figure=%s (see --help)\n",
+                 figure.c_str());
     return 2;
   }
+  nowlb::exp::Workload w = fig->workload;
+  w.n = static_cast<int>(cli.get_int("n", w.n));
+  const long long slaves = cli.get_int("slaves", 4);
+  if (slaves < 1) {
+    std::fprintf(stderr, "--slaves=%s must be a positive integer\n",
+                 cli.get("slaves", "").c_str());
+    return 2;
+  }
+  const int least = nowlb::exp::min_n(w.app, static_cast<int>(slaves));
+  if (w.n < least) {
+    std::fprintf(stderr, "--n=%d is too small: %s on %lld slaves needs "
+                 "--n >= %d\n", w.n, nowlb::apps::app_name(w.app), slaves,
+                 least);
+    return 2;
+  }
+  const bool balance = !cli.get_bool("no-balance", false);
+  std::ofstream out(path);  // before the run, which may take long
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 2;
+  }
+
+  nowlb::obs::Observability hub;
+  nowlb::exp::ExperimentConfig cfg =
+      nowlb::exp::config(w, static_cast<int>(slaves));
+  cfg.world.seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<long long>(cfg.world.seed)));
+  cfg.obs = &hub;
+  // --no-balance runs the static program: no master, no agents.
+  const nowlb::exp::Measurement m = nowlb::exp::run(w, balance, cfg);
 
   auto fmt = [](double v) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.9g", v);
     return std::string(buf);
   };
-  meta["app"] = app;
-  meta["slaves"] = std::to_string(slaves);
-  meta["seed"] = std::to_string(cfg.world.seed);
-  meta["balance"] = no_balance ? "off" : "on";
-  if (load_rank >= 0) meta["load_rank"] = std::to_string(load_rank);
-  meta["elapsed_s"] = fmt(m.elapsed_s);
-  meta["speedup"] = fmt(m.speedup);
-  meta["efficiency"] = fmt(m.efficiency);  // the paper's §5.1 metric
-
-  std::ofstream out(path);
-  if (!out) {
+  const std::map<std::string, std::string> meta = {
+      {"figure", fig->name},
+      {"app", nowlb::apps::app_name(w.app)},
+      {"n", std::to_string(w.n)},
+      {"slaves", std::to_string(slaves)},
+      {"seed", std::to_string(cfg.world.seed)},
+      {"balance", balance ? "on" : "off"},
+      {"elapsed_s", fmt(m.elapsed_s)},
+      {"speedup", fmt(m.speedup)},
+      {"efficiency", fmt(m.efficiency)},  // the paper's §5.1 metric
+  };
+  nowlb::obs::write_runfile(out, hub.trace, hub.ledger,
+                            hub.metrics.prometheus_text(), meta);
+  if (!out.flush()) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 2;
   }
-  nowlb::obs::write_runfile(out, hub.trace, hub.ledger, meta);
   std::printf(
-      "recorded %s: app=%s slaves=%d balance=%s elapsed=%.3fs "
+      "recorded %s: %s n=%d slaves=%lld balance=%s elapsed=%.3fs "
       "efficiency=%.3f (%zu events, %zu ledger rounds)\n",
-      path.c_str(), app.c_str(), slaves, no_balance ? "off" : "on",
+      path.c_str(), fig->name, w.n, slaves, balance ? "on" : "off",
       m.elapsed_s, m.efficiency, hub.trace.events().size(),
       hub.ledger.records().size());
   return 0;
@@ -295,26 +297,39 @@ int diff(const LoadedRun& a, const CausalGraph& ga, const std::string& path_b) {
   return ok ? 0 : 1;
 }
 
+std::string usage() {
+  std::string u =
+      "usage: nowlb-inspect --record=FILE --figure=NAME [--n=N] [--slaves=P]\n"
+      "                     [--seed=S] [--no-balance]\n"
+      "       nowlb-inspect --report=FILE [--top=K]\n"
+      "                     [--format=text|json|chrome|prometheus|explain]\n"
+      "       nowlb-inspect --report=FILE --diff=FILE2\n"
+      "figures:";
+  for (const nowlb::exp::Figure& f : nowlb::exp::figures()) {
+    u += std::string(" ") + f.name;
+  }
+  return u +
+         "\n\n"
+         "--record runs one point of a paper figure (default 4 slaves) with\n"
+         "the flight recorder attached and writes its run file;\n"
+         "--no-balance runs the static program, with no master. --report\n"
+         "reads a run file. text and json reconstruct the causal round DAG:\n"
+         "per-round time breakdown (compute / blocked / transport /\n"
+         "decision / migration), efficiency series, and the critical\n"
+         "path's top contributors. chrome, prometheus and explain export\n"
+         "the trace, the metrics and the decision ledger. The exit status\n"
+         "is 1 when the run breaks a causal rule. --diff compares two runs\n"
+         "- balancing on vs off on the same workload reproduces the\n"
+         "paper's efficiency claim as one number.\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const nowlb::Cli cli(
-      argc, argv,
-      {"record", "app", "n", "repeats", "slaves", "seed", "load",
-       "no-balance", "report", "json", "top", "diff"},
-      "usage: nowlb-inspect --record=FILE [--app=mm|sor] [--n=N]\n"
-      "                     [--repeats=R] [--slaves=P] [--seed=S]\n"
-      "                     [--load=RANK] [--no-balance]\n"
-      "       nowlb-inspect --report=FILE [--json] [--top=K]\n"
-      "       nowlb-inspect --report=FILE --diff=FILE2\n"
-      "\n"
-      "--record runs the experiment with causal tracing enabled and\n"
-      "writes a run file. --report reconstructs the causal round DAG:\n"
-      "per-round time breakdown (compute / blocked / transport /\n"
-      "decision / migration), efficiency series, and the critical\n"
-      "path's top contributors. --diff compares two runs — balancing\n"
-      "on vs off on the same workload reproduces the paper's\n"
-      "efficiency claim as one number.\n");
+  const nowlb::Cli cli(argc, argv,
+                       {"record", "figure", "n", "slaves", "seed",
+                        "no-balance", "report", "format", "top", "diff"},
+                       usage());
   if (!cli.has("record") && !cli.has("report")) {
     std::fputs(cli.usage().c_str(), stdout);
     return 2;
@@ -322,16 +337,37 @@ int main(int argc, char** argv) {
 
   if (cli.has("record")) return record(cli);
 
+  const std::string format = cli.get("format", "text");
+  const char* const formats[] = {"text", "json", "chrome", "prometheus",
+                                 "explain"};
+  if (std::find(std::begin(formats), std::end(formats), format) ==
+      std::end(formats)) {
+    std::fprintf(stderr,
+                 "unknown --format=%s (text|json|chrome|prometheus|explain)\n",
+                 format.c_str());
+    return 2;
+  }
   LoadedRun run;
   if (!load(cli.get("report", ""), run)) return 1;
   const CausalGraph g = nowlb::obs::build_causal_graph(run.trace, run.ledger);
   const auto top_k = static_cast<std::size_t>(cli.get_int("top", 5));
 
   if (cli.has("diff")) return diff(run, g, cli.get("diff", ""));
-  if (cli.get_bool("json", false)) {
+  if (format == "text") {
+    print_text_report(run, g, top_k);
+  } else if (format == "json") {
     print_json_report(run, g, top_k);
   } else {
-    print_text_report(run, g, top_k);
+    if (format == "chrome") {
+      nowlb::obs::write_chrome_trace(std::cout, run.trace);
+    } else if (format == "prometheus") {
+      std::cout << run.metrics;
+    } else {
+      std::cout << run.ledger.explain();
+    }
+    for (const std::string& p : g.problems) {
+      std::fprintf(stderr, "PROBLEM: %s\n", p.c_str());
+    }
   }
   return g.well_formed() ? 0 : 1;
 }

@@ -78,6 +78,18 @@ double seq_time_s(const Workload& w) {
   return 0;
 }
 
+int min_n(apps::App app, int slaves) {
+  switch (app) {
+    case apps::App::kMm:
+      return 1;
+    case apps::App::kSor:
+      return slaves + 2;
+    case apps::App::kLu:
+      return 2;
+  }
+  return 1;
+}
+
 const std::vector<Figure>& figures() {
   using apps::App;
   static const std::vector<Figure> kFigures = {

@@ -37,6 +37,11 @@ Measurement run(const Workload& w, bool use_lb, const ExperimentConfig& cfg,
 /// The sequential execution time speedup and efficiency are taken against.
 double seq_time_s(const Workload& w);
 
+/// The smallest n `app` runs with on `slaves` slaves: SOR gives each slave
+/// an interior column (n - 2 >= slaves), LU needs an elimination step and
+/// MM a column.
+int min_n(apps::App app, int slaves);
+
 struct Figure {
   const char* name;  // "fig5.mm_dedicated", ...
   Workload workload;

@@ -96,10 +96,6 @@ void Builder::scan() {
       instr_apply[{rank, static_cast<int>(arg(e, "round"))}] = e.t;
     } else if (is(e, "lb", "lb.round")) {
       decision_span[static_cast<int>(arg(e, "round"))] = {e.t, e.t + e.dur};
-    } else if (is(e, "lb", "lb.decision")) {
-      decision_meta[static_cast<int>(arg(e, "round"))] = {
-          static_cast<int>(arg(e, "gate", -1)),
-          static_cast<long>(arg(e, "units"))};
     } else if (is(e, "lb", "lb.evict")) {
       const int rank = static_cast<int>(arg(e, "rank", -1));
       if (evict_time.find(rank) == evict_time.end()) evict_time[rank] = e.t;
@@ -107,9 +103,7 @@ void Builder::scan() {
   }
   g.nranks = max_rank + 1;
   for (const auto& [rank, t] : evict_time) g.evicted.push_back(rank);
-  // The decision ledger is authoritative for gate and ordered units — the
-  // lb.decision trace events are a fallback for traces captured without a
-  // ledger.
+  // Gate and ordered units come from the decision ledger alone.
   for (const DecisionRecord& r : ledger.records()) {
     long units = 0;
     for (const Move& m : r.moves) units += m.count;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <numeric>
 #include <vector>
 
@@ -107,8 +106,8 @@ void write_chrome_trace(std::ostream& out, const TraceBus& bus) {
     out << "\"}}";
   }
 
-  // Stable sort by begin time: a single run's bus is already monotonic,
-  // but a bus shared across runs (fig5 --trace sweeps) interleaves.
+  // Stable sort by begin time: a span is pushed when it closes, after
+  // events that began later.
   const auto& events = bus.events();
   std::vector<std::size_t> order(events.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -140,13 +139,6 @@ void write_chrome_trace(std::ostream& out, const TraceBus& bus) {
   }
 
   out << "]}\n";
-}
-
-bool write_chrome_trace_file(const std::string& path, const TraceBus& bus) {
-  std::ofstream f(path);
-  if (!f) return false;
-  write_chrome_trace(f, bus);
-  return static_cast<bool>(f);
 }
 
 }  // namespace nowlb::obs

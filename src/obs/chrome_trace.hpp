@@ -3,12 +3,11 @@
 // Emits the {"traceEvents":[...]} object form understood by Perfetto and
 // chrome://tracing: "i" instants, "X" complete spans with dur, and "M"
 // metadata records naming processes (hosts) and threads (lanes).
-// Timestamps are simulated microseconds; events are stable-sorted by ts so
-// a bus shared across several runs still exports a monotonic file.
+// Timestamps are simulated microseconds; events are stable-sorted by ts,
+// because a span is recorded when it ends but stamped with its begin.
 #pragma once
 
 #include <ostream>
-#include <string>
 
 #include "obs/trace.hpp"
 
@@ -16,8 +15,5 @@ namespace nowlb::obs {
 
 /// Write the whole bus as Chrome trace_event JSON.
 void write_chrome_trace(std::ostream& out, const TraceBus& bus);
-
-/// Convenience: write to a file path. Returns false on I/O failure.
-bool write_chrome_trace_file(const std::string& path, const TraceBus& bus);
 
 }  // namespace nowlb::obs

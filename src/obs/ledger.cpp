@@ -26,6 +26,11 @@ const char* gate_name(Gate g) {
   return "?";
 }
 
+bool planner_ran(Gate g) {
+  return g == Gate::kMove || g == Gate::kBelowThreshold ||
+         g == Gate::kNotProfitable || g == Gate::kHold;
+}
+
 namespace {
 
 std::string fmt(double v, const char* spec = "%.4g") {

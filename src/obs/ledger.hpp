@@ -4,9 +4,9 @@
 // the master closes, the inputs it saw (raw and filtered rates, remaining
 // work), the gate outcome (moved, cancelled below the improvement
 // threshold, cancelled as unprofitable, frozen during fault recovery, ...)
-// and the ordered moves. The ledger is the substrate for `nowlb-fuzz
-// --explain` and `nowlb-inspect`: a human-readable "why did / didn't it
-// move" timeline for any seed, and the input to check::LedgerChecker's
+// and the ordered moves. The ledger is the substrate for `nowlb-inspect
+// --format=explain`: a human-readable "why did / didn't it move" timeline
+// for any recorded run, and the input to check::LedgerChecker's
 // arithmetic cross-check.
 //
 // obs cannot depend on lb (it sits below it in the library stack), so the
@@ -33,6 +33,10 @@ enum class Gate : std::uint8_t {
 };
 
 const char* gate_name(Gate g);
+
+/// Whether the planner ran in a round that closed with `g` (move, below
+/// threshold, not profitable, hold) rather than winding down or freezing.
+bool planner_ran(Gate g);
 
 /// One ordered work movement (counts are work units, e.g. matrix rows).
 struct Move {
@@ -73,7 +77,7 @@ class DecisionLedger {
   /// Human-readable timeline of every round ("why did/didn't it move").
   std::string explain() const;
 
-  /// One line for a single record (shared by explain() and the CLIs).
+  /// The lines explain() prints for a single record.
   static std::string explain_line(const DecisionRecord& r);
 
  private:

@@ -6,10 +6,9 @@
 // master, slave agents and transports through lb's recorder
 // (lb/record.cpp). Attachment is always optional: a null hub costs a
 // pointer test or two per event, and an attached hub never perturbs the
-// simulation clock or RNG streams, so traces stay bit-identical.
+// simulation clock or RNG streams, so traces stay bit-identical. A run
+// file (obs/runfile.hpp) is how a hub leaves the process.
 #pragma once
-
-#include <string>
 
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
@@ -28,12 +27,5 @@ struct Observability {
     ledger.clear();
   }
 };
-
-/// Write the hub's trace as Chrome trace JSON to `trace_path` and its
-/// metrics as Prometheus text to `metrics_path`; an empty path skips that
-/// file. Each outcome is reported on stderr, so stdout stays the same.
-/// Returns false when a requested file could not be written.
-bool write_files(const Observability& hub, const std::string& trace_path,
-                 const std::string& metrics_path);
 
 }  // namespace nowlb::obs

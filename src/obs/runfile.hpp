@@ -1,19 +1,28 @@
 // Run files: a versioned, line-based text capture of one run's flight
-// recorder — the causal trace categories (cz/lb/proc) plus the decision
-// ledger — so `nowlb-inspect` can analyze and diff runs after the fact.
+// recorder — every trace event, the whole decision ledger and the metrics
+// dump — so `nowlb-inspect` can export, check and diff the run after the
+// fact. It is the recorder's only output: the Chrome trace, Prometheus
+// dump and ledger explain exported from a loaded file are the live hub's
+// bytes.
 //
 // Format (one directive per line, space-separated fields):
 //
-//   nowlb-run 1
+//   nowlb-run 2
 //   meta <key>=<value>
 //   host <id> <name>
 //   lane <host> <lane> <name>
-//   ledger <round> <t> <gate> <units> <improvement> <period_s> <reason...>
+//   ledger <round> <t> <gate> <improvement> <projected_current_s>
+//          <projected_new_s> <est_move_cost_s> <period_s> <raw_rates>
+//          <rates> <remaining> <target> <moves> <reason...>
 //   e <i|c> <t> <dur> <host> <lane> <cat> <name> [<key>=<value>]...
-//   end events=<N> ledger=<M>
+//   metric <line of the Prometheus dump>
+//   end events=<N> ledger=<M> metrics=<K>
 //
-// Times are simulated nanoseconds (integers); numeric values round-trip
-// at full double precision. The trailer's counts make truncation
+// A ledger line is one DecisionRecord. Each vector is one comma-separated
+// token ("-" when empty); the four per-rank vectors hold one entry per
+// rank, and a move is <from>:<to>:<count>. Times are simulated
+// nanoseconds (integers); every other number round-trips at full double
+// precision, infinities included. The trailer's counts make truncation
 // detectable. Loading is strict: an unknown directive, a malformed field
 // or a count mismatch fails the load with a diagnostic — `nowlb-inspect`
 // turns that into a nonzero exit.
@@ -37,13 +46,13 @@ struct LoadedRun {
   std::map<std::string, std::string> meta;
   TraceBus trace;
   DecisionLedger ledger;
+  std::string metrics;  // the Prometheus dump, verbatim
 };
 
-/// Serialize the inspection-relevant slice of a run: trace events in the
-/// cz/lb/proc categories (message-level noise is omitted), host/lane
-/// names, and the full decision ledger.
+/// Serialize one run: host/lane names, the full decision ledger, every
+/// trace event and `metrics` (a MetricsRegistry::prometheus_text() dump).
 void write_runfile(std::ostream& os, const TraceBus& trace,
-                   const DecisionLedger& ledger,
+                   const DecisionLedger& ledger, const std::string& metrics,
                    const std::map<std::string, std::string>& meta);
 
 /// Parse a run file. Returns false and sets `error` (with a line number)

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace nowlb {
 
@@ -42,17 +41,6 @@ class Accumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// A named time series of (t, value) samples — used for Fig. 9 style traces.
-struct Series {
-  std::vector<double> t;
-  std::vector<double> v;
-  void add(double time, double value) {
-    t.push_back(time);
-    v.push_back(value);
-  }
-  std::size_t size() const { return t.size(); }
 };
 
 }  // namespace nowlb

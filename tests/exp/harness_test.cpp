@@ -43,15 +43,30 @@ TEST(Harness, CompetingCpuMeasured) {
   EXPECT_GT(m.efficiency, m.seq_s / (2 * m.elapsed_s));
 }
 
-TEST(Harness, TraceCapturesSeries) {
+// The balancing timeline holds one decision record per round, in order,
+// each with every rank's rates, remaining work and target.
+TEST(Harness, TraceCapturesRounds) {
   auto cfg = small_cfg(3);
   cfg.want_trace = true;
   Trace trace;
-  auto m = run_mm(small_mm(), cfg, &trace);
-  (void)m;
-  EXPECT_NE(trace.find("lb.work.0"), nullptr);
-  EXPECT_NE(trace.find("lb.adj_rate.2"), nullptr);
-  EXPECT_EQ(trace.find("lb.work.9"), nullptr);
+  const auto m = run_mm(small_mm(), cfg, &trace);
+  ASSERT_EQ(trace.rounds.size(), static_cast<std::size_t>(m.stats.rounds));
+  bool planned = false;
+  for (std::size_t i = 0; i < trace.rounds.size(); ++i) {
+    const obs::DecisionRecord& r = trace.rounds[i];
+    EXPECT_EQ(r.round, i + 1);
+    EXPECT_EQ(r.raw_rates.size(), 3u);
+    EXPECT_EQ(r.rates.size(), 3u);
+    EXPECT_EQ(r.remaining.size(), 3u);
+    EXPECT_EQ(r.target.size(), 3u);
+    planned = planned || obs::planner_ran(r.gate);
+  }
+  EXPECT_TRUE(planned);
+
+  // Without want_trace the timeline stays empty.
+  Trace none;
+  run_mm(small_mm(), small_cfg(3), &none);
+  EXPECT_TRUE(none.rounds.empty());
 }
 
 TEST(Harness, RepeatAccumulatesStatistics) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,11 @@ struct MatrixCase {
   bool reorder;
   std::uint64_t seed;
 };
+
+// ctest names each case after this text (see tests/perf/determinism_test).
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.name << "_seed" << c.seed;
+}
 
 std::vector<MatrixCase> matrix_cases() {
   std::vector<MatrixCase> cases;
@@ -136,11 +142,7 @@ TEST_P(TransportMatrix, ExactlyOnceInOrderPerSrcAndTag) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FaultCombos, TransportMatrix,
-                         ::testing::ValuesIn(matrix_cases()),
-                         [](const auto& pinfo) {
-                           return std::string(pinfo.param.name) + "_seed" +
-                                  std::to_string(pinfo.param.seed);
-                         });
+                         ::testing::ValuesIn(matrix_cases()));
 
 // Destroying a transport while retransmit timers are armed (sender exits
 // without draining) must cancel cleanly: no stray timer fires into a dead

@@ -126,6 +126,9 @@ TEST(CausalGraph, KillSlaveRunStaysWellFormed) {
 // killed at round 3. Among other rules, the two halves of every migration
 // name the same ordering round, although each comes from its own rank's
 // state and the transfer may be reordered or retransmitted in between.
+// Each of the 700 runs is recorded, so run_scenario attaches the
+// LedgerChecker too: the ledger arithmetic holds across apps, seeds,
+// gates and faults.
 TEST(CausalGraph, SeedSweepsAreWellFormed) {
   check::FaultPlan lossy;
   lossy.drop_rate = 0.05;
@@ -267,7 +270,7 @@ TEST(Runfile, RoundtripPreservesTheGraph) {
       obs::build_causal_graph(hub.trace, hub.ledger);
 
   std::ostringstream os;
-  obs::write_runfile(os, hub.trace, hub.ledger,
+  obs::write_runfile(os, hub.trace, hub.ledger, hub.metrics.prometheus_text(),
                      {{"app", "mm"}, {"note", "roundtrip"}});
   std::istringstream is(os.str());
   obs::LoadedRun run;
@@ -275,6 +278,8 @@ TEST(Runfile, RoundtripPreservesTheGraph) {
   ASSERT_TRUE(obs::load_runfile(is, run, error)) << error;
   EXPECT_EQ(run.meta.at("app"), "mm");
   EXPECT_EQ(run.ledger.records().size(), hub.ledger.records().size());
+  EXPECT_EQ(run.trace.events().size(), hub.trace.events().size());
+  EXPECT_EQ(run.metrics, hub.metrics.prometheus_text());
 
   const obs::CausalGraph after = obs::build_causal_graph(run.trace, run.ledger);
   EXPECT_TRUE(after.well_formed()) << problems_of(after);
@@ -299,7 +304,7 @@ TEST(Runfile, RoundtripPreservesTheGraph) {
   // Writing the loaded run again reproduces the exact same file: the
   // format is canonical, so runfiles can be diffed byte-for-byte.
   std::ostringstream os2;
-  obs::write_runfile(os2, run.trace, run.ledger, run.meta);
+  obs::write_runfile(os2, run.trace, run.ledger, run.metrics, run.meta);
   EXPECT_EQ(os.str(), os2.str());
 }
 
@@ -313,16 +318,26 @@ TEST(Runfile, MalformedInputsAreRejectedWithLineNumbers) {
   };
   rejects("", "empty input");
   rejects("garbage\n", "bad header");
-  rejects("nowlb-run 1\nwat 1 2\nend events=0 ledger=0\n",
+  // Version 1 files kept a unit sum per ledger line and no metrics.
+  rejects("nowlb-run 1\nend events=0 ledger=0\n", "bad header");
+  rejects("nowlb-run 2\nwat 1 2\nend events=0 ledger=0 metrics=0\n",
           "unknown directive");
-  rejects("nowlb-run 1\ne i 5 0 1 1 cz cz.window\n", "missing end trailer");
+  rejects("nowlb-run 2\ne i 5 0 1 1 cz cz.window\n", "missing end trailer");
   // Trailer counts catch truncation.
-  rejects("nowlb-run 1\nend events=3 ledger=0\n", "count mismatch");
-  rejects("nowlb-run 1\ne i 5 0 1 1 cz cz.window rank=x\n",
+  rejects("nowlb-run 2\nend events=3 ledger=0 metrics=0\n", "count mismatch");
+  rejects("nowlb-run 2\ne i 5 0 1 1 cz cz.window rank=x\n",
           "bad numeric arg value");
-  rejects("nowlb-run 1\nledger 1 0 99 0 0.1 0.2 ok\nend events=0 ledger=1\n",
+  rejects("nowlb-run 2\nledger 1 0 99 0 0 0 0 0.5 - - - - - ok\n"
+          "end events=0 ledger=1 metrics=0\n",
           "gate out of range");
-  rejects("nowlb-run 1\nend events=0 ledger=0\ntrailing\n",
+  // Two ranks' rates, one rank's remaining work.
+  rejects("nowlb-run 2\nledger 1 0 0 0.2 4 3 0.1 0.5 1,2 1,2 5 3,2 0:1:2 "
+          "rebalance\nend events=0 ledger=1 metrics=0\n",
+          "line 2: ledger per-rank vectors differ in length");
+  rejects("nowlb-run 2\nmetric lb_rounds twelve\n"
+          "end events=0 ledger=0 metrics=1\n",
+          "bad metric line");
+  rejects("nowlb-run 2\nend events=0 ledger=0 metrics=0\ntrailing\n",
           "content after end");
 }
 

@@ -79,7 +79,7 @@ TEST(DecisionLedger, ExplainCoversEveryRecord) {
 }
 
 // Every balancing round of a real run produces exactly one record — the
-// --explain contract: nothing the master decided is missing.
+// explain contract: nothing the master decided is missing.
 TEST(DecisionLedger, OneRecordPerRoundInHarnessRuns) {
   for (const bool pipelined : {false, true}) {
     obs::Observability hub;

@@ -1,9 +1,9 @@
 // Trace bus and Chrome trace_event exporter: event capture, capacity cap,
 // JSON structure (metadata, instants, complete spans, escaping), monotonic
 // timestamps, pid/tid -> host/lane mapping, pins of the bytes the
-// recorder writes for four runs, and the zero-perturbation
-// guarantee (attaching the recorder never changes the dispatched event
-// sequence of a simulation).
+// recorder's exports hold for four runs, live and from their run files,
+// and the zero-perturbation guarantee (attaching the recorder never
+// changes the dispatched event sequence of a simulation).
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "obs/causal.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
+#include "obs/runfile.hpp"
 #include "sim/time.hpp"
 
 namespace nowlb {
@@ -73,7 +74,7 @@ TEST(ChromeTrace, EmitsMetadataEventsAndArgs) {
 }
 
 TEST(ChromeTrace, TimestampsAreSortedAndNonNegative) {
-  // Interleave two "runs" on one bus (fig5 --trace shares a hub).
+  // A span is recorded when it ends, after events that began later.
   obs::TraceBus bus;
   bus.instant(9 * sim::kMicrosecond, 0, 0, "c", "late");
   bus.instant(1 * sim::kMicrosecond, 0, 0, "c", "early");
@@ -128,12 +129,31 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-/// Everything the recorder wrote: the Chrome trace, the Prometheus dump
+/// Everything the recorder exports: the Chrome trace, the Prometheus dump
 /// and the explained decision ledger, concatenated.
 std::string recorder_output(const obs::Observability& hub) {
   std::ostringstream os;
   obs::write_chrome_trace(os, hub.trace);
   os << hub.metrics.prometheus_text() << hub.ledger.explain();
+  return os.str();
+}
+
+/// The same exports from the hub's run file, written and loaded back. The
+/// file is canonical: writing the loaded run again gives the same bytes.
+std::string reloaded_output(const obs::Observability& hub) {
+  std::ostringstream file;
+  obs::write_runfile(file, hub.trace, hub.ledger,
+                     hub.metrics.prometheus_text(), {{"pin", "yes"}});
+  std::istringstream is(file.str());
+  obs::LoadedRun run;
+  std::string error;
+  EXPECT_TRUE(obs::load_runfile(is, run, error)) << error;
+  std::ostringstream again;
+  obs::write_runfile(again, run.trace, run.ledger, run.metrics, run.meta);
+  EXPECT_EQ(again.str(), file.str());
+  std::ostringstream os;
+  obs::write_chrome_trace(os, run.trace);
+  os << run.metrics << run.ledger.explain();
   return os.str();
 }
 
@@ -143,7 +163,8 @@ std::string recorder_output(const obs::Observability& hub) {
 // covers eviction, orphan adoption, moves, duplicates, gave-up and held
 // arrivals; SOR covers restricted movement under faults; LU the
 // done-flag protocol; the harness run a loaded paper-scale MM, which must
-// dispatch the same engine events as its bare twin.
+// dispatch the same engine events as its bare twin. Each run's file is
+// lossless: its exports hash to the same pin.
 TEST(RecorderPin, OutputBytesAreUnchanged) {
   check::FaultPlan lossy;
   lossy.drop_rate = 0.05;
@@ -173,6 +194,7 @@ TEST(RecorderPin, OutputBytesAreUnchanged) {
     EXPECT_TRUE(res.ok) << sc.describe();
     EXPECT_EQ(hub.trace.events().size(), pin.events) << sc.describe();
     EXPECT_EQ(fnv1a(recorder_output(hub)), pin.hash) << sc.describe();
+    EXPECT_EQ(fnv1a(reloaded_output(hub)), pin.hash) << sc.describe();
   }
 
   obs::Observability hub;
@@ -189,6 +211,7 @@ TEST(RecorderPin, OutputBytesAreUnchanged) {
   EXPECT_EQ(recorded.trace_hash, bare.trace_hash);
   EXPECT_EQ(hub.trace.events().size(), 442u);
   EXPECT_EQ(fnv1a(recorder_output(hub)), 0xcfd313a280c13f96ull);
+  EXPECT_EQ(fnv1a(reloaded_output(hub)), 0xcfd313a280c13f96ull);
 }
 
 // The acceptance property: a seeded run dispatches the bit-identical

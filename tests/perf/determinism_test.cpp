@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "perf/scenarios.hpp"
@@ -30,6 +31,11 @@ struct FigureGolden {
   std::uint64_t trace_hash;
   std::uint64_t dispatched_events;
 };
+
+// gtest prints a parameter through PrintTo, and ctest names each case
+// after that text; without one it dumps the struct's bytes, pointer
+// included, and the names change with every build.
+void PrintTo(const FigureGolden& g, std::ostream* os) { *os << g.name; }
 
 // Captured pre-optimization (nowlb-bench --hashes); see file comment.
 constexpr FigureGolden kFigureGoldens[] = {
@@ -44,6 +50,8 @@ struct FuzzGolden {
   const char* name;
   std::uint64_t trace_hash;
 };
+
+void PrintTo(const FuzzGolden& g, std::ostream* os) { *os << g.name; }
 
 constexpr FuzzGolden kFuzzGoldens[] = {
     {"fuzz.mm.clean", 0xb0e7652e2abed0e3ull},
@@ -98,14 +106,7 @@ TEST_P(FigureDeterminism, RepeatAndObsRunsAreBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Figures, FigureDeterminism,
-                         ::testing::ValuesIn(kFigureGoldens),
-                         [](const auto& pinfo) {
-                           std::string n = pinfo.param.name;
-                           for (char& ch : n) {
-                             if (ch == '.') ch = '_';
-                           }
-                           return n;
-                         });
+                         ::testing::ValuesIn(kFigureGoldens));
 
 class FuzzDeterminism : public ::testing::TestWithParam<FuzzGolden> {};
 
@@ -130,14 +131,7 @@ TEST_P(FuzzDeterminism, RepeatAndObsRunsAreBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FuzzClasses, FuzzDeterminism,
-                         ::testing::ValuesIn(kFuzzGoldens),
-                         [](const auto& pinfo) {
-                           std::string n = pinfo.param.name;
-                           for (char& ch : n) {
-                             if (ch == '.') ch = '_';
-                           }
-                           return n;
-                         });
+                         ::testing::ValuesIn(kFuzzGoldens));
 
 // Every scenario the bench ships is covered by a golden, and vice versa —
 // adding a figure or fuzz class without pinning it fails here.
