@@ -38,13 +38,13 @@ int main(int argc, char** argv) {
     lb::SlaveAgent::WorkOps ops;
     ops.remaining = [&, rank] { return units[rank]; };
     ops.pack = [&, rank](int count,
-                         int) -> sim::Task<std::pair<sim::Bytes, int>> {
+                         int) -> sim::Task<std::pair<sim::Payload, int>> {
       const int actual = std::min(count, units[rank]);
       units[rank] -= actual;
       co_return std::make_pair(msg::encode(actual), actual);
     };
-    ops.unpack = [&, rank](const sim::Bytes& b, int) -> sim::Task<int> {
-      const int got = msg::decode<int>(b);
+    ops.unpack = [&, rank](sim::Payload p, int) -> sim::Task<int> {
+      const int got = msg::decode<int>(p);
       units[rank] += got;
       co_return got;
     };

@@ -15,7 +15,7 @@ namespace nowlb::apps {
 using data::BlockMap;
 using data::DistArray;
 using data::SliceId;
-using sim::Bytes;
+using sim::Payload;
 using sim::Context;
 using sim::Message;
 using sim::Task;
@@ -194,7 +194,7 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
               ck[static_cast<std::size_t>(i)];
         }
         pivots[static_cast<std::size_t>(k)] = std::move(piv);
-        const Bytes payload = msg::encode(Pivot<std::span<const double>>{
+        const Payload payload = msg::encode(Pivot<std::span<const double>>{
             k, pivots[static_cast<std::size_t>(k)]});
         for (int r2 = 0; r2 < R; ++r2) {
           if (r2 == rank) continue;

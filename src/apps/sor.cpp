@@ -6,6 +6,7 @@
 #include <optional>
 #include <span>
 
+#include "apps/sor_move.hpp"
 #include "data/dist_array.hpp"
 #include "data/slice.hpp"
 #include "loop/grain.hpp"
@@ -19,9 +20,9 @@ namespace nowlb::apps {
 using data::BlockMap;
 using data::DistArray;
 using data::SliceId;
-using sim::Bytes;
 using sim::Context;
 using sim::Message;
+using sim::Payload;
 using sim::Pid;
 using sim::Task;
 using sim::Time;
@@ -36,8 +37,9 @@ constexpr sim::Tag kTagCalib = 8003;       // broadcast strip size at startup
 constexpr double kC1 = 0.493;
 constexpr double kC2 = -0.972;
 
-// A column field: a View when sent, a vector (the default) when received.
-using View = std::span<const double>;
+using sor::View;
+using sor::LeftEdge;
+using sor::RightEdge;
 
 // One strip's rows of the sender's highest column: the right rank's left
 // boundary for that strip.
@@ -58,68 +60,6 @@ struct SweepStart {
   Col values;
   template <class A> void fields(A& a) { a(sweep, col, values); }
 };
-
-// Boundary snapshot a left receiver gets with moved columns: the donor's
-// new first column, which becomes the receiver's right ghost.
-template <class Col = std::vector<double>>
-struct LeftEdge {
-  std::int32_t id = 0;
-  Col column;
-  template <class A> void fields(A& a) { a(id, column); }
-};
-
-// Boundary snapshot a right receiver gets: the donor's new highest column
-// and its marker, the receiver's left boundary for strips below it.
-template <class Col = std::vector<double>>
-struct RightEdge {
-  std::int32_t id = 0;
-  std::int32_t marker = 0;
-  Col column;
-  template <class A> void fields(A& a) { a(id, marker, column); }
-};
-
-// A work transfer between neighbours; `Edge` depends on the direction. A
-// clamped, empty transfer carries no snapshot (boundary == 0). `col_bytes`
-// repeats the encoded size of the column list.
-template <class Edge>
-struct ColumnMove {
-  std::uint8_t boundary = 0;
-  Edge edge;
-  std::uint64_t col_bytes = 0;
-  DistArray<double>::Moving columns;
-
-  template <class A>
-  void fields(A& a) {
-    a(boundary);
-    if (boundary) a(edge);
-    a(col_bytes, columns);
-  }
-};
-
-// Moves the columns `ids` out of `cols` into one payload, with `edge` as the
-// snapshot when anything moves; each column is freed once it is written.
-template <class Edge>
-Bytes encode_move(DistArray<double>& cols, std::vector<SliceId> ids,
-                  const Edge& edge) {
-  const std::uint8_t boundary = ids.empty() ? 0 : 1;
-  ColumnMove<Edge> mv{boundary, edge, 0,
-                      DistArray<double>::Moving(cols, std::move(ids))};
-  mv.col_bytes = msg::encoded_size(mv.columns);
-  return msg::encode(mv);
-}
-
-// Reads a transfer, adding its columns to `cols` as they are read.
-template <class Edge>
-ColumnMove<Edge> decode_move(const Bytes& payload, DistArray<double>& cols,
-                             int rank, int peer) {
-  ColumnMove<Edge> mv{0, {}, 0, DistArray<double>::Moving(cols)};
-  msg::decode(payload, mv);
-  NOWLB_CHECK(mv.col_bytes == msg::encoded_size(mv.columns),
-              "rank " << rank << ": move from peer " << peer << " declares "
-                      << mv.col_bytes << " column bytes but carries "
-                      << msg::encoded_size(mv.columns));
-  return mv;
-}
 
 }  // namespace
 
@@ -274,7 +214,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       return cols.top_run([strips](int m) { return m < strips; });
     };
     ops.pack = [&, rank](int count,
-                         int peer) -> Task<std::pair<Bytes, int>> {
+                         int peer) -> Task<std::pair<Payload, int>> {
       // Keep at least one column: an empty rank breaks the pipeline chain.
       const int actual = std::max(0, std::min(count, cols.owned_count() - 1));
       std::vector<SliceId> ids(static_cast<std::size_t>(actual));
@@ -298,14 +238,14 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         left_ghost_id = ids.back();
         left_ghost_marker = cols.marker(ids.back());
       }
-      Bytes payload;
+      Payload payload;
       if (peer < rank) {
         // Receiver attaches these columns at its right edge and needs
         // previous-sweep values of our (new) first column as its right
         // ghost / catch-up source.
         LeftEdge<View> edge;
         if (actual > 0) edge = {ids.back() + 1, cols.slice(ids.back() + 1)};
-        payload = encode_move(cols, std::move(ids), edge);
+        payload = sor::encode_move(cols, std::move(ids), edge);
       } else {
         // Receiver attaches these columns at its left edge; for strips our
         // (new) highest column has already covered this sweep it needs that
@@ -318,23 +258,23 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
           const SliceId bnd = ids.front() - 1;
           edge = {bnd, cols.marker(bnd), cols.slice(bnd)};
         }
-        payload = encode_move(cols, std::move(ids), edge);
+        payload = sor::encode_move(cols, std::move(ids), edge);
       }
       co_return std::make_pair(std::move(payload), actual);
     };
-    ops.unpack = [&, rank](const Bytes& payload, int peer) -> Task<int> {
+    ops.unpack = [&, rank](Payload payload, int peer) -> Task<int> {
       // Non-empty transfers carry the donor's boundary-column snapshot;
       // clamped (empty) transfers carry nothing.
       std::vector<SliceId> ids;
       if (peer > rank) {
-        auto mv = decode_move<LeftEdge<>>(payload, cols, rank, peer);
+        auto mv = sor::decode_move<LeftEdge<>>(payload, cols, rank, peer);
         if (mv.boundary) {
           right_ghost_id = mv.edge.id;
           right_ghost = std::move(mv.edge.column);
         }
         ids = std::move(mv.columns).ids();
       } else {
-        auto mv = decode_move<RightEdge<>>(payload, cols, rank, peer);
+        auto mv = sor::decode_move<RightEdge<>>(payload, cols, rank, peer);
         if (mv.boundary) {
           left_ghost_id = mv.edge.id;
           left_ghost_marker = mv.edge.marker;
@@ -425,7 +365,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       // of each rank's first column go to the left neighbour.
       if (has_left) {
         const SliceId first = cols.lowest_id();
-        Bytes start =
+        Payload start =
             msg::encode(SweepStart<View>{sweep, first, cols.slice(first)});
         co_await ctx.send(left_pid, kTagSweepStart, std::move(start));
       }
@@ -545,7 +485,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         if (has_right) {
           NOWLB_LOG(Debug, "sor") << "rank " << rank << " sends ghost s" << sweep
                                   << " strip " << p << " col " << hi;
-          Bytes ghost = msg::encode(Ghost<View>{
+          Payload ghost = msg::encode(Ghost<View>{
               sweep, p, hi, View(cols.slice(hi)).subspan(rb, re - rb)});
           co_await ctx.send(right_pid, kTagGhost, std::move(ghost));
         }

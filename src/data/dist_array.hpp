@@ -10,7 +10,8 @@
 // contiguous. A single add or remove shifts the entries above it; a
 // movement payload adds or drops its whole batch in one pass (Moving). A
 // reference to a slice's vector is valid until the next add, remove or
-// move; a span of its elements stays valid until that slice itself leaves.
+// move; a span of its elements stays valid until that slice itself leaves,
+// and a moved slice takes its elements along: only double slices move.
 //
 // Each slice carries an application-defined integer `marker` that records
 // how far the slice has been computed: SOR's strips and LU's steps, for the
@@ -23,6 +24,7 @@
 #include <iterator>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -165,26 +167,32 @@ class DistArray {
   };
 
  public:
-  /// One moved slice on the wire (§4.5). `Col` is std::span<const T> while
-  /// the slice is still held here, std::vector<T> once read off the wire.
+  /// One moved slice on the wire (§4.5). Its contents are an owned field,
+  /// which travels as a payload segment. `Col` is std::span<const T> while
+  /// the slice is only sized here, std::vector<T> once it is taken to be
+  /// written or has been read.
   template <class Col = std::vector<T>>
   struct Record {
     std::int32_t id = 0;
     std::int32_t marker = 0;
-    Col contents;
+    msg::Owned<Col> contents;
     template <class A> void fields(A& a) { a(id, marker, contents); }
   };
 
   /// Slices moving out of or into an array, in ascending id order, as a
   /// movement payload's list of records (a msg::RecordList), handled as one
-  /// batch. Writing it moves each slice's contents out just before they
-  /// are written and frees them right after; the last record drops the
-  /// emptied entries in one pass. Reading it holds each record as it is
-  /// read; the last one merges the batch into the array in one pass. So a
-  /// moved slice is never held twice, and a move costs one pass over the
-  /// array, not one shift per slice. The ownership ledger sees one removal
-  /// per slice written and one add per slice read, in wire order.
+  /// batch. Writing it moves each slice's vector out to the payload as a
+  /// segment; the last record drops the emptied entries in one pass.
+  /// Reading it takes each record's vector back from its segment; the last
+  /// one merges the batch into the array in one pass. So a moved slice's
+  /// values are never copied, and a move costs one pass over the array,
+  /// not one shift per slice. The ownership ledger sees one removal per
+  /// slice written and one add per slice read, in wire order.
   class Moving {
+    static_assert(std::is_same_v<T, double>,
+                  "only double slices move: a payload segment holds a "
+                  "std::vector<double>");
+
    public:
     using value_type = Record<>;
 
@@ -201,14 +209,15 @@ class DistArray {
     std::size_t size() const { return ids_.size(); }
     Record<std::span<const T>> record(std::size_t i) const {
       const Slice& s = array_->slices_[array_->held(ids_[i])];
-      return {s.id, s.marker, s.data};
+      return {s.id, s.marker, {s.data}};
     }
     Record<> take(std::size_t i) {
       Slice& s = array_->slices_[array_->held(ids_[i])];
-      Record<> r{s.id, s.marker, std::move(s.data)};
+      Record<> r{s.id, s.marker, {std::move(s.data)}};
       array_->report(&SliceLedger::on_slice_removed, r.id);
-      NOWLB_CHECK(r.contents.size() == array_->slice_len_,
-                  "slice " << r.id << " resized to " << r.contents.size());
+      NOWLB_CHECK(r.contents.values.size() == array_->slice_len_,
+                  "slice " << r.id << " resized to "
+                           << r.contents.values.size());
       if (i + 1 == ids_.size()) array_->erase(ids_);
       return r;
     }
@@ -218,13 +227,13 @@ class DistArray {
       expected_ = n;
     }
     void read(Record<>&& r) {
-      NOWLB_CHECK(r.contents.size() == array_->slice_len_,
+      NOWLB_CHECK(r.contents.values.size() == array_->slice_len_,
                   "slice " << r.id << " has wrong length "
-                           << r.contents.size());
+                           << r.contents.values.size());
       NOWLB_CHECK(ids_.empty() || ids_.back() < r.id,
                   "moved slice " << r.id << " follows slice " << ids_.back());
       ids_.push_back(r.id);
-      batch_.push_back(Slice{r.id, r.marker, std::move(r.contents)});
+      batch_.push_back(Slice{r.id, r.marker, std::move(r.contents.values)});
       if (batch_.size() < expected_) return;
       array_->merge(batch_);
       for (SliceId id : ids_) array_->report(&SliceLedger::on_slice_added, id);
@@ -240,14 +249,16 @@ class DistArray {
     std::size_t expected_ = 0;  // records in the payload being read
   };
 
-  /// Serialize the given slices (removing them) into a movement payload.
-  msg::Bytes pack_and_remove(const std::vector<SliceId>& ids) {
+  /// Move the given slices out into a movement payload, each slice's
+  /// vector a segment of it.
+  msg::Payload pack_and_remove(const std::vector<SliceId>& ids) {
     return msg::encode(Moving(*this, ids));
   }
 
-  /// Integrate a movement payload produced by pack_and_remove; returns the
-  /// ids received (already added to the local set).
-  std::vector<SliceId> unpack_and_add(const msg::Bytes& payload) {
+  /// Integrate a movement payload produced by pack_and_remove, taking its
+  /// slices' vectors; returns the ids received (already added to the
+  /// local set).
+  std::vector<SliceId> unpack_and_add(msg::Payload&& payload) {
     Moving in(*this);
     msg::decode(payload, in);
     return std::move(in).ids();

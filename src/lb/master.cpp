@@ -264,7 +264,7 @@ Task<std::vector<StatusReport>> Master::collect_reports(
         continue;
       }
     } else {
-      const sim::Message m = co_await ctx_.recv(kTagReport);
+      sim::Message m = co_await ctx_.recv(kTagReport);
       src = m.src;
       rep = msg::decode<StatusReport>(m.payload);
     }

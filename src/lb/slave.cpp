@@ -191,7 +191,7 @@ Task<Instructions> SlaveAgent::recv_instr() {
     held_instr_.reset();
     co_return ins;
   }
-  const sim::Message m = co_await ctx_.recv(kTagInstr, master_);
+  sim::Message m = co_await ctx_.recv(kTagInstr, master_);
   co_return msg::decode<Instructions>(m.payload);
 }
 
@@ -257,7 +257,8 @@ Task<> SlaveAgent::integrate_move(const MoveOrder& order, std::int32_t round,
                                   sim::Message m) {
   const Time t0 = ctx_.now();
   co_await ctx_.compute(ctx_.world().config().msg.recv_overhead);
-  const int actual = co_await ops_.unpack(m.payload, order.peer_rank);
+  const int actual =
+      co_await ops_.unpack(std::move(m.payload), order.peer_rank);
   moved_units_accum_ += actual;
   move_time_accum_ += ctx_.now() - t0;
   events_.emit(UnitsUnpacked{rank_, order.peer_rank, order.count, actual,

@@ -40,12 +40,14 @@ class SlaveAgent {
     /// Active work units currently held.
     std::function<int()> remaining;
     /// Choose up to `count` units to hand to `peer_rank`, remove them from
-    /// the local set, and serialize them. Returns (payload, actual units).
-    std::function<sim::Task<std::pair<sim::Bytes, int>>(int count,
-                                                        int peer_rank)>
+    /// the local set, and move them into a payload. Returns (payload,
+    /// actual units).
+    std::function<sim::Task<std::pair<sim::Payload, int>>(int count,
+                                                          int peer_rank)>
         pack;
-    /// Integrate a received movement payload; returns units received.
-    std::function<sim::Task<int>(const sim::Bytes& payload, int peer_rank)>
+    /// Integrate a received movement payload, taking its segments;
+    /// returns units received.
+    std::function<sim::Task<int>(sim::Payload payload, int peer_rank)>
         unpack;
     /// Global ids of the work units this rank currently owns — the
     /// inventory census fault recovery is built on. Required (with adopt)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <utility>
 
 #include "lb/protocol.hpp"
@@ -42,7 +41,8 @@ bool Transport::reliable(sim::Tag tag) const {
   return std::find(tags_.begin(), tags_.end(), tag) != tags_.end();
 }
 
-sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag, sim::Bytes payload) {
+sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag,
+                            sim::Payload payload) {
   if (!cfg_.enabled) {
     co_await ctx_.send(dst, tag, std::move(payload));
     co_return;
@@ -64,13 +64,12 @@ sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag, sim::Bytes payload) {
 
 sim::Message Transport::make_envelope(sim::Pid dst, sim::Tag tag,
                                       std::uint32_t seq,
-                                      const sim::Bytes& payload) const {
+                                      const sim::Payload& payload) const {
   sim::Message m;
   m.src = ctx_.pid();
   m.dst = dst;
   m.tag = tag;
-  m.payload =
-      msg::encode(Envelope<std::span<const std::byte>>{seq, payload});
+  m.payload = msg::encode(Envelope<const sim::Payload&>{seq, payload});
   return m;
 }
 

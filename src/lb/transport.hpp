@@ -54,7 +54,7 @@ class Transport {
   /// Reliable send: envelopes, posts, and arms a retransmit timer. With
   /// the transport disabled this is exactly ctx.send. Sends towards a
   /// blackholed peer are silently discarded.
-  sim::Task<> send(sim::Pid dst, sim::Tag tag, sim::Bytes payload);
+  sim::Task<> send(sim::Pid dst, sim::Tag tag, sim::Payload payload);
 
   /// Declare a peer dead: cancel every retransmit towards it, drop its
   /// held reordered messages, and swallow all its future arrivals.
@@ -77,8 +77,11 @@ class Transport {
     sim::Tag tag;
     auto operator<=>(const Key&) const = default;
   };
-  /// A reliable message on the wire; the sender borrows the payload.
-  template <class Payload = sim::Bytes>
+  /// A reliable message on the wire: the sequence number, then the
+  /// payload's length and flattened bytes. The sender borrows the payload
+  /// and the envelope carries a copy of its segments, at offsets shifted
+  /// past this 12-byte prefix; the receiver takes them back.
+  template <class Payload = sim::Payload>
   struct Envelope {
     std::uint32_t seq = 0;
     Payload payload;
@@ -93,8 +96,8 @@ class Transport {
   struct Pending {
     /// Application payload only; the envelope (seq prefix + length) is
     /// rebuilt byte-identically on retransmit, so the retained state is
-    /// one buffer instead of a full message copy.
-    sim::Bytes payload;
+    /// the payload instead of a full message copy.
+    sim::Payload payload;
     int attempts = 0;
     sim::Engine::EventId timer;
   };
@@ -103,7 +106,7 @@ class Transport {
   void post_raw(sim::Message m);     // network post, no CPU charge
   /// Frame a reliable message: seq-prefixed envelope around the payload.
   sim::Message make_envelope(sim::Pid dst, sim::Tag tag, std::uint32_t seq,
-                             const sim::Bytes& payload) const;
+                             const sim::Payload& payload) const;
   void send_ack(sim::Pid dst, sim::Tag tag, std::uint32_t seq);
   void arm_timer(Key k, std::uint32_t seq);
   void on_timeout(Key k, std::uint32_t seq);

@@ -27,13 +27,13 @@ lb::SlaveAgent::WorkOps array_ops(data::DistArray<double>& cols,
   lb::SlaveAgent::WorkOps ops;
   ops.remaining = [&cols, active] { return cols.count_if(active); };
   ops.pack = [&cols, active](int count,
-                             int) -> sim::Task<std::pair<sim::Bytes, int>> {
+                             int) -> sim::Task<std::pair<sim::Payload, int>> {
     const auto ids = cols.highest_if(count, active);
     const int actual = static_cast<int>(ids.size());
     co_return std::make_pair(cols.pack_and_remove(ids), actual);
   };
-  ops.unpack = [&cols](const sim::Bytes& payload, int) -> sim::Task<int> {
-    co_return static_cast<int>(cols.unpack_and_add(payload).size());
+  ops.unpack = [&cols](sim::Payload payload, int) -> sim::Task<int> {
+    co_return static_cast<int>(cols.unpack_and_add(std::move(payload)).size());
   };
   ops.inventory = [&cols] {
     const auto ids = cols.owned_ids();

@@ -5,10 +5,11 @@
 //
 //   co_await ctx.compute(cpu);          // burn CPU under the host scheduler
 //   co_await ctx.sleep(dt);             // wall-clock delay, no CPU
-//   co_await ctx.send(dst, tag, bytes); // message send (charges sw overhead)
+//   co_await ctx.send(dst, tag, p);     // message send (charges sw overhead)
 //   Message m = co_await ctx.recv(tag); // blocking selective receive
 //
-// Payloads are raw bytes here; msg/serialize.hpp encodes and decodes them.
+// A payload is head bytes plus owned segments (util/bytes.hpp); a send
+// moves it to the receiver. msg/serialize.hpp encodes and decodes them.
 #pragma once
 
 #include <coroutine>
@@ -126,7 +127,7 @@ class Context {
   /// Send a message; charges the sender's software overhead as CPU, then
   /// hands the message to the network. Completes when the message is on
   /// the wire (asynchronous send).
-  Task<> send(Pid dst, Tag tag, Bytes payload);
+  Task<> send(Pid dst, Tag tag, Payload payload);
 
   /// Blocking selective receive; charges receive overhead as CPU.
   Task<Message> recv(Tag tag = kAnyTag, Pid src = kAnyPid);

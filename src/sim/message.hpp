@@ -16,14 +16,17 @@ using Tag = int;
 inline constexpr Tag kAnyTag = -1;
 
 using Bytes = nowlb::Bytes;
+using Payload = nowlb::Payload;
 
 struct Message {
   Pid src = kAnyPid;
   Pid dst = kAnyPid;
   Tag tag = 0;
-  Bytes payload;
+  /// Head bytes plus owned segments; moving the message moves them.
+  Payload payload;
 
-  /// Wire size used for transmission-time modelling (payload + header).
+  /// Wire size used for transmission-time modelling: the flattened
+  /// payload plus the header.
   std::size_t wire_size(std::size_t header_bytes) const {
     return payload.size() + header_bytes;
   }

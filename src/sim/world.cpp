@@ -61,7 +61,7 @@ SleepAwaiter Context::sleep(Time dt) {
   return SleepAwaiter{process_, world_.engine(), dt};
 }
 
-Task<> Context::send(Pid dst, Tag tag, Bytes payload) {
+Task<> Context::send(Pid dst, Tag tag, Payload payload) {
   co_await compute(world_.config().msg.send_overhead);
   Message m;
   m.src = process_.pid();

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/sor_move.hpp"
+#include "data/dist_array.hpp"
+#include "msg/serialize.hpp"
 #include "sim/world.hpp"
 
 namespace nowlb::apps {
@@ -164,6 +167,98 @@ TEST(Sor, LoadBalancingHelpsUnderLoad) {
   // workstation is shared (Fig. 8's shape).
   EXPECT_LT(with_dlb.makespan_s, static_run.makespan_s * 0.90);
   EXPECT_GT(with_dlb.stats.units_moved, 0);
+}
+
+// ---- the work transfer's bytes ----
+
+// A move's layout with every column written inline as a plain vector, the
+// way transfers were encoded before columns became payload segments.
+struct InlineColumn {
+  std::int32_t id = 0;
+  std::int32_t marker = 0;
+  std::vector<double> contents;
+  template <class A> void fields(A& a) { a(id, marker, contents); }
+};
+
+template <class Edge>
+struct InlineMove {
+  std::uint8_t boundary = 0;
+  Edge edge;
+  std::uint64_t col_bytes = 0;
+  std::vector<InlineColumn> columns;
+  template <class A>
+  void fields(A& a) {
+    a(boundary);
+    if (boundary) a(edge);
+    a(col_bytes, columns);
+  }
+};
+
+// Columns 10..14 of three rows, markers 5,5,3,3,3: a staircase.
+data::DistArray<double> move_source() {
+  data::DistArray<double> a(3);
+  const int markers[] = {5, 5, 3, 3, 3};
+  for (int i = 0; i < 5; ++i) {
+    a.add(10 + i, {i + 0.5, -1.0 * i, 1e-300 * i}, markers[i]);
+  }
+  return a;
+}
+
+template <class Edge>
+msg::Bytes inline_bytes(const data::DistArray<double>& cols,
+                        const std::vector<data::SliceId>& ids,
+                        const Edge& edge) {
+  InlineMove<Edge> mv{ids.empty() ? std::uint8_t{0} : std::uint8_t{1}, edge,
+                      0, {}};
+  for (const data::SliceId id : ids) {
+    mv.columns.push_back({id, cols.marker(id), cols.slice(id)});
+  }
+  mv.col_bytes = msg::encoded_size(mv.columns);
+  return msg::encode(mv).flatten();
+}
+
+// Both directions and an empty transfer flatten to the inline bytes, carry
+// one segment per column, and decode back into the receiver's array.
+TEST(SorMove, FlattenedTransfersMatchTheInlineBytes) {
+  {  // leftward: the donor's lowest columns, then its new first column
+    auto cols = move_source();
+    const sor::LeftEdge<> inline_edge{12, cols.slice(12)};
+    const msg::Bytes want = inline_bytes(cols, {10, 11}, inline_edge);
+    msg::Payload got = sor::encode_move(
+        cols, {10, 11}, sor::LeftEdge<sor::View>{12, cols.slice(12)});
+    EXPECT_EQ(got.segments.size(), 2u);
+    EXPECT_EQ(got.flatten(), want);
+    data::DistArray<double> dst(3);
+    const auto mv = sor::decode_move<sor::LeftEdge<>>(got, dst, 0, 1);
+    EXPECT_EQ(mv.edge.id, 12);
+    EXPECT_EQ(dst.owned_ids(), (std::vector<data::SliceId>{10, 11}));
+    EXPECT_EQ(dst.marker(11), 5);
+  }
+  {  // rightward: the donor's highest columns, then its new last column
+    auto cols = move_source();
+    const sor::RightEdge<> inline_edge{12, 3, cols.slice(12)};
+    const msg::Bytes want = inline_bytes(cols, {13, 14}, inline_edge);
+    msg::Payload got = sor::encode_move(
+        cols, {13, 14}, sor::RightEdge<sor::View>{12, 3, cols.slice(12)});
+    EXPECT_EQ(got.segments.size(), 2u);
+    EXPECT_EQ(got.flatten(), want);
+    data::DistArray<double> dst(3);
+    const auto mv = sor::decode_move<sor::RightEdge<>>(got, dst, 2, 1);
+    EXPECT_EQ(mv.edge.marker, 3);
+    EXPECT_EQ(dst.slice(14), (std::vector<double>{4.5, -4.0, 4e-300}));
+  }
+  {  // a clamped transfer: no snapshot, no columns
+    auto cols = move_source();
+    const msg::Bytes want = inline_bytes(cols, {}, sor::LeftEdge<>{});
+    msg::Payload got =
+        sor::encode_move(cols, {}, sor::LeftEdge<sor::View>{});
+    EXPECT_TRUE(got.segments.empty());
+    EXPECT_EQ(got.flatten(), want);
+    EXPECT_EQ(want.size(), 1u + 8u + 4u);
+    data::DistArray<double> dst(3);
+    EXPECT_EQ(sor::decode_move<sor::LeftEdge<>>(got, dst, 0, 1).boundary, 0);
+    EXPECT_EQ(cols.owned_count(), 5);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <string>
 #include <tuple>
 
 #include "data/dist_array.hpp"
@@ -14,6 +15,20 @@
 
 namespace nowlb::data {
 namespace {
+
+// Runs `f`, which must throw a CheckFailure whose text names `fault`: a
+// malformed payload can fail several checks, and each test is about one.
+template <class F>
+void expect_fault(F f, const std::string& fault) {
+  try {
+    f();
+    ADD_FAILURE() << "no CheckFailure; expected one naming \"" << fault
+                  << "\"";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(fault), std::string::npos)
+        << e.what();
+  }
+}
 
 // ------------------------------------------------------------- BlockMap
 
@@ -111,7 +126,7 @@ TEST(DistArray, MarkersSurvivePackUnpack) {
   EXPECT_FALSE(src.owns(1));
   EXPECT_FALSE(src.owns(3));
   EXPECT_TRUE(src.owns(2));
-  auto ids = dst.unpack_and_add(payload);
+  auto ids = dst.unpack_and_add(std::move(payload));
   EXPECT_EQ(ids, (std::vector<SliceId>{1, 3}));
   EXPECT_EQ(dst.marker(1), 5);
   EXPECT_EQ(dst.marker(3), 0);
@@ -119,9 +134,28 @@ TEST(DistArray, MarkersSurvivePackUnpack) {
 }
 
 TEST(DistArray, EmptyPackRoundtrip) {
-  DistArray<float> src(2), dst(2);
+  DistArray<double> src(2), dst(2);
   auto payload = src.pack_and_remove({});
-  EXPECT_TRUE(dst.unpack_and_add(payload).empty());
+  EXPECT_TRUE(dst.unpack_and_add(std::move(payload)).empty());
+}
+
+// A moved slice's vector travels in the payload: the receiver holds the
+// very buffer the sender did, for every slice of the move.
+TEST(DistArray, MovedSlicesKeepTheirBuffers) {
+  DistArray<double> src(3), dst(3);
+  std::vector<const double*> before;
+  for (SliceId id = 0; id < 4; ++id) {
+    src.add(id, {id + 0.5, 1.0, 2.0}, id);
+    before.push_back(src.slice(id).data());
+  }
+  auto payload = src.pack_and_remove({0, 1, 2, 3});
+  EXPECT_EQ(dst.unpack_and_add(std::move(payload)),
+            (std::vector<SliceId>{0, 1, 2, 3}));
+  for (SliceId id = 0; id < 4; ++id) {
+    EXPECT_EQ(dst.slice(id).data(), before[static_cast<std::size_t>(id)])
+        << "slice " << id << " was copied";
+    EXPECT_EQ(dst.slice(id), (std::vector<double>{id + 0.5, 1.0, 2.0}));
+  }
 }
 
 TEST(DistArray, OwnedIdsSorted) {
@@ -213,11 +247,11 @@ TEST(DistArray, PackIntoWriterAppendsExactlyThePayload) {
   auto a = staircase();
   auto b = staircase();
   const std::vector<SliceId> ids = {12, 13, 14};
-  const Bytes expected = a.pack_and_remove(ids);
+  const Bytes expected = a.pack_and_remove(ids).flatten();
 
   const Headed h{0xAB, DistArray<double>::Moving(b, ids)};
   EXPECT_EQ(msg::encoded_size(h.slices), expected.size());
-  const Bytes got = msg::encode(h);  // removes each slice once written
+  const Bytes got = msg::encode(h).flatten();  // removes each slice
   ASSERT_EQ(got.size(), 1 + expected.size());
   EXPECT_EQ(got[0], std::byte{0xAB});
   EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin() + 1));
@@ -228,7 +262,7 @@ TEST(DistArray, PackIntoWriterAppendsExactlyThePayload) {
 
 TEST(DistArray, UnpackFromReaderRestoresSlicesAndConsumesPayload) {
   auto src = staircase();
-  const Bytes payload =
+  msg::Payload payload =
       msg::encode(Headed{0xAB, DistArray<double>::Moving(src, {12, 13, 14})});
 
   DistArray<double> dst(2);
@@ -242,17 +276,19 @@ TEST(DistArray, UnpackFromReaderRestoresSlicesAndConsumesPayload) {
 
 TEST(DistArray, UnpackBytesRejectsTrailingBytes) {
   auto src = staircase();
-  Bytes payload = src.pack_and_remove({10});
-  payload.push_back(std::byte{0});
+  msg::Payload payload = src.pack_and_remove({10});
+  payload.head.push_back(std::byte{0});
   DistArray<double> dst(2);
-  EXPECT_THROW(dst.unpack_and_add(payload), CheckFailure);
+  expect_fault([&] { dst.unpack_and_add(std::move(payload)); },
+               "1 bytes left over");
 }
 
 TEST(DistArray, UnpackRejectsSliceCountBeyondPayload) {
-  const Bytes payload =
+  msg::Payload payload =
       msg::encode(std::numeric_limits<std::uint32_t>::max());
   DistArray<double> dst(2);
-  EXPECT_THROW(dst.unpack_and_add(payload), CheckFailure);
+  expect_fault([&] { dst.unpack_and_add(std::move(payload)); },
+               "4294967295 records beyond its end");
 }
 
 // ------------------------------------- DistArray against an ordered map
@@ -428,9 +464,9 @@ TEST(DistArray, MatchesAnOrderedMapModel) {
           for (SliceId id : ids) {
             records.push_back({id, m[r][id].first, m[r][id].second});
           }
-          const Bytes payload = a[r].pack_and_remove(ids);
+          msg::Payload payload = a[r].pack_and_remove(ids);
           EXPECT_EQ(payload, msg::encode(records));
-          EXPECT_EQ(a[1 - r].unpack_and_add(payload), ids);
+          EXPECT_EQ(a[1 - r].unpack_and_add(std::move(payload)), ids);
           for (SliceId id : ids) {
             m[1 - r][id] = m[r][id];
             m[r].erase(id);
@@ -458,9 +494,12 @@ TEST(DistArray, WriteRejectsIdsNotAscending) {
 }
 
 TEST(DistArray, ReadRejectsIdsNotAscending) {
-  const std::vector<Record> records = {{4, 0, {1.0, 2.0}}, {3, 0, {3.0, 4.0}}};
+  std::vector<Record> records = {{4, 0, {{1.0, 2.0}}}, {3, 0, {{3.0, 4.0}}}};
+  msg::Payload payload = msg::encode(records);  // segments, as a move sends
+  ASSERT_EQ(payload.segments.size(), 2u);
   DistArray<double> dst(2);
-  EXPECT_THROW(dst.unpack_and_add(msg::encode(records)), CheckFailure);
+  expect_fault([&] { dst.unpack_and_add(std::move(payload)); },
+               "moved slice 3 follows slice 4");
   EXPECT_EQ(dst.owned_count(), 0);
 }
 
@@ -472,8 +511,8 @@ TEST(DistArray, ReadRejectsAHeldIdAndKeepsTheArray) {
   dst.enable_ownership_checks(1);
   dst.add(13, {7.0, 7.0}, 1);
   dst.add(20, {8.0, 8.0}, 1);
-  EXPECT_THROW(dst.unpack_and_add(src.pack_and_remove({11, 12, 13})),
-               CheckFailure);
+  expect_fault([&] { dst.unpack_and_add(src.pack_and_remove({11, 12, 13})); },
+               "slice 13 already present");
   EXPECT_EQ(dst.owned_ids(), (std::vector<SliceId>{13, 20}));
   EXPECT_EQ(dst.slice(13), (std::vector<double>{7.0, 7.0}));
   // Only the two set-up adds: a rejected batch reports nothing.

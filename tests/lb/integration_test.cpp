@@ -78,14 +78,13 @@ RunResult run_scenario(const Scenario& sc) {
               SlaveAgent::WorkOps ops;
               ops.remaining = [&, rank] { return units[rank]; };
               ops.pack = [&, rank](int count,
-                                   int) -> Task<std::pair<sim::Bytes, int>> {
+                                   int) -> Task<std::pair<sim::Payload, int>> {
                 const int actual = std::min(count, units[rank]);
                 units[rank] -= actual;
                 co_return std::make_pair(msg::encode(actual), actual);
               };
-              ops.unpack = [&, rank](const sim::Bytes& b,
-                                     int peer) -> Task<int> {
-                const int c = msg::decode<int>(b);
+              ops.unpack = [&, rank](sim::Payload p, int peer) -> Task<int> {
+                const int c = msg::decode<int>(p);
                 units[rank] += c;
                 result.received_from[rank * n + peer] += c;
                 co_return c;

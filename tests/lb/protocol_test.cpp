@@ -54,16 +54,16 @@ TEST(FtTrailer, OffMeansNoTrailerBytes) {
 // Decoding is strict: a marker no trailer declares is a byte left over.
 TEST(FtTrailer, UnknownMarkerIsRejected) {
   StatusReport s = sample_report();
-  auto b = msg::encode(s);
+  auto b = msg::encode(s).flatten();
   b.push_back(std::byte{99});  // no such trailer
   EXPECT_THROW(msg::decode<StatusReport>(b), CheckFailure);
 
   Instructions ins = sample_instr();
-  auto bi = msg::encode(ins);
+  auto bi = msg::encode(ins).flatten();
   bi.push_back(std::byte{99});
   EXPECT_THROW(msg::decode<Instructions>(bi), CheckFailure);
 
-  auto bi2 = msg::encode(ins);
+  auto bi2 = msg::encode(ins).flatten();
   bi2.insert(bi2.end(), {std::byte{2}, std::byte{5}, std::byte{0},
                          std::byte{0}, std::byte{0}});
   EXPECT_THROW(msg::decode<Instructions>(bi2), CheckFailure);
@@ -75,8 +75,8 @@ TEST(FtTrailer, RepeatedTrailerIsRejected) {
   StatusReport ft_only = sample_report();
   ft_only.ft = 1;
   ft_only.inventory = {4};
-  const auto fixed = msg::encode(sample_report());
-  auto twice = msg::encode(ft_only);
+  const auto fixed = msg::encode(sample_report()).flatten();
+  auto twice = msg::encode(ft_only).flatten();
   const auto trailer = twice;
   twice.insert(twice.end(),
                trailer.begin() + static_cast<std::ptrdiff_t>(fixed.size()),
@@ -88,7 +88,8 @@ TEST(FtTrailer, RepeatedTrailerIsRejected) {
 //
 // Message sizes feed the simulated transfer times, so the bytes of every
 // payload are part of the reproduced schedule. Each entry encodes a sample,
-// compares literal bytes, then decodes those bytes and checks every field.
+// compares its flattened bytes with literal ones, then decodes the payload
+// and checks every field.
 
 StatusReport pin_report(bool ft) {
   StatusReport s = sample_report();
@@ -166,9 +167,9 @@ sim::Bytes from_hex(const std::string& hex) {
 
 struct WirePin {
   std::string name;
-  std::function<sim::Bytes()> encode;
+  std::function<sim::Payload()> encode;
   std::string hex;
-  std::function<void(const sim::Bytes&)> check;
+  std::function<void(sim::Payload&)> check;
 };
 
 const std::string kReportHex =
@@ -190,21 +191,21 @@ std::vector<WirePin> wire_pins() {
     pins.push_back({"StatusReport" + suffix,
                     [rep] { return msg::encode(rep); },
                     kReportHex + (ft ? kReportFtHex : ""),
-                    [rep](const sim::Bytes& b) {
-                      expect_report(msg::decode<StatusReport>(b), rep);
+                    [rep](sim::Payload& p) {
+                      expect_report(msg::decode<StatusReport>(p), rep);
                     }});
     const Instructions ins = pin_instr(ft);
     pins.push_back({"Instructions" + suffix,
                     [ins] { return msg::encode(ins); },
                     kInstrHex + (ft ? kInstrFtHex : ""),
-                    [ins](const sim::Bytes& b) {
-                      expect_instr(msg::decode<Instructions>(b), ins);
+                    [ins](sim::Payload& p) {
+                      expect_instr(msg::decode<Instructions>(p), ins);
                     }});
   }
   const MoveOrder order{2, 5, 1};
   pins.push_back({"MoveOrder", [order] { return msg::encode(order); },
-                  "02000000 05000000 01", [order](const sim::Bytes& b) {
-                    expect_order(msg::decode<MoveOrder>(b), order);
+                  "02000000 05000000 01", [order](sim::Payload& p) {
+                    expect_order(msg::decode<MoveOrder>(p), order);
                   }});
   pins.push_back(
       {"DistArray slices",
@@ -212,9 +213,10 @@ std::vector<WirePin> wire_pins() {
        "02000000 07000000 03000000 0200000000000000 000000000000f83f "
        "00000000000000c0 08000000 02000000 0200000000000000 "
        "000000000000d03f 0000000000001040",
-       [](const sim::Bytes& b) {
+       [](sim::Payload& p) {
          data::DistArray<double> dst(2);
-         EXPECT_EQ(dst.unpack_and_add(b), (std::vector<data::SliceId>{7, 8}));
+         EXPECT_EQ(dst.unpack_and_add(std::move(p)),
+                   (std::vector<data::SliceId>{7, 8}));
          const data::DistArray<double> want = pin_slices();
          for (const data::SliceId id : {7, 8}) {
            EXPECT_EQ(dst.marker(id), want.marker(id));
@@ -233,9 +235,9 @@ TEST(WireBytes, EveryPayloadMatchesItsPinnedBytes) {
     const sim::Bytes want = from_hex(pin.hex);
     SCOPED_TRACE(pin.name + " (" + std::to_string(want.size()) +
                  " B)");
-    const sim::Bytes got = pin.encode();
-    EXPECT_EQ(got, want);
-    pin.check(want);
+    sim::Payload got = pin.encode();
+    EXPECT_EQ(got.flatten(), want);
+    pin.check(got);
   }
 }
 

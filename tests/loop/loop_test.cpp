@@ -123,7 +123,7 @@ TEST(Movement, ArrayOpsMoveTheHighestActiveSlices) {
   EXPECT_EQ(moved, 3);
   EXPECT_EQ(donor.owned_ids(), (std::vector<SliceId>{0, 1, 2, 5, 7}));
   EXPECT_EQ(ops.remaining(), 3);
-  EXPECT_EQ(run(peer_ops.unpack(payload, 0)), 3);
+  EXPECT_EQ(run(peer_ops.unpack(std::move(payload), 0)), 3);
   EXPECT_EQ(peer.owned_ids(), (std::vector<SliceId>{3, 4, 6, 9}));
   for (const SliceId id : {3, 4, 6}) {
     EXPECT_EQ(peer.marker(id), markers[static_cast<std::size_t>(id)]);
@@ -136,7 +136,7 @@ TEST(Movement, ArrayOpsMoveTheHighestActiveSlices) {
   auto [rest, rest_moved] = run(ops.pack(10, 1));
   EXPECT_EQ(rest_moved, 3);
   EXPECT_EQ(ops.remaining(), 0);
-  EXPECT_EQ(run(peer_ops.unpack(rest, 0)), 3);
+  EXPECT_EQ(run(peer_ops.unpack(std::move(rest), 0)), 3);
   EXPECT_EQ(ops.inventory(), (std::vector<std::int32_t>{5, 7}));
   EXPECT_EQ(peer_ops.inventory(),
             (std::vector<std::int32_t>{0, 1, 2, 3, 4, 6, 9}));

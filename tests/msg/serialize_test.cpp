@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "lb/protocol.hpp"
 #include "util/rng.hpp"
@@ -59,7 +61,7 @@ TEST(Serialize, TruncatedPayloadThrows) {
 // decode() reads a whole payload: a byte left over is an error, not ignored.
 TEST(Serialize, TrailingBytesThrow) {
   const lb::MoveOrder m{2, 5, 1};
-  Bytes b = encode(m);
+  Bytes b = encode(m).flatten();
   b.push_back(std::byte{0});
   EXPECT_THROW(decode<lb::MoveOrder>(b), CheckFailure);
   b.pop_back();
@@ -225,6 +227,117 @@ TEST(Serialize, InstructionsRandomizedRoundtrip) {
       EXPECT_EQ(out.orders[i].is_send, ins.orders[i].is_send);
     }
   }
+}
+
+// ---- owned fields: values that travel as payload segments ----
+
+// Two moved columns behind a header, as a work transfer carries them.
+struct TwoColumns {
+  std::int32_t header = 0;
+  Owned<> first;
+  std::int32_t between = 0;
+  Owned<> second;
+  template <class A> void fields(A& a) { a(header, first, between, second); }
+};
+
+TwoColumns two_columns() {
+  return {7, {{1.5, -2.0, 3.0}}, 9, {{0.25}}};
+}
+
+// Runs `f`, which must throw a CheckFailure whose text names `fault`.
+template <class F>
+void expect_fault(F f, const std::string& fault) {
+  try {
+    f();
+    ADD_FAILURE() << "no CheckFailure; expected one naming \"" << fault
+                  << "\"";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(fault), std::string::npos)
+        << e.what();
+  }
+}
+
+// An owned field is written as a vector is: its flattened bytes are the
+// plain layout, but its values sit in a segment and the head, allocated
+// once at its own size, holds only the counts around them.
+TEST(Owned, FlattensToTheVectorLayoutAndHandsTheValuesOver) {
+  TwoColumns m = two_columns();
+  const double* first = m.first.values.data();
+  Payload p = encode(m);
+  EXPECT_TRUE(m.first.values.empty());  // handed over, not copied
+  ASSERT_EQ(p.segments.size(), 2u);
+  EXPECT_EQ(p.segments[0].values.data(), first);
+  EXPECT_EQ(p.segments[0].offset, 4u + 8u);
+  EXPECT_EQ(p.segments[1].offset, 4u + 8u + 4u + 8u);
+  EXPECT_EQ(p.head.size(), 4u + 8u + 4u + 8u);
+  EXPECT_EQ(p.head.capacity(), p.head.size());
+
+  Writer w;
+  w.put<std::int32_t>(7).put_vec(std::vector<double>{1.5, -2.0, 3.0});
+  w.put<std::int32_t>(9).put_vec(std::vector<double>{0.25});
+  const Bytes plain = w.take();
+  EXPECT_EQ(p.flatten(), plain);
+  EXPECT_EQ(p.size(), plain.size());
+  EXPECT_EQ(encoded_size(two_columns()), plain.size());
+
+  const TwoColumns back = decode<TwoColumns>(p);
+  EXPECT_EQ(back.first.values.data(), first);  // taken back, not copied
+  EXPECT_EQ(back.first.values, (std::vector<double>{1.5, -2.0, 3.0}));
+  EXPECT_EQ(back.between, 9);
+  EXPECT_EQ(back.second.values, (std::vector<double>{0.25}));
+}
+
+TEST(Owned, DecodeRejectsAMissingSegment) {
+  Payload p = encode(two_columns());
+  p.segments.pop_back();
+  expect_fault([&] { decode<TwoColumns>(p); },
+               "no segment holds the 1 values counted before byte 24");
+  // The flattened bytes alone carry no segment at all.
+  const Bytes flat = encode(two_columns()).flatten();
+  expect_fault([&] { decode<TwoColumns>(flat); },
+               "no segment holds the 3 values counted before byte 12");
+}
+
+TEST(Owned, DecodeRejectsASegmentOfTheWrongLength) {
+  Payload p = encode(two_columns());
+  p.segments[1].values.push_back(5.0);
+  expect_fault([&] { decode<TwoColumns>(p); },
+               "a segment of 2 values where its count says 1");
+}
+
+TEST(Owned, DecodeRejectsASegmentLeftUnread) {
+  Payload p = encode(two_columns());
+  p.segments.push_back({p.head.size(), {4.0}});
+  expect_fault([&] { decode<TwoColumns>(p); }, "1 segment(s) left unread");
+}
+
+TEST(Owned, WriterTakeRefusesToDropSegments) {
+  Writer w;
+  TwoColumns m = two_columns();
+  w(m);
+  expect_fault([&] { w.take(); }, "take() would drop 2 segment(s)");
+}
+
+// A payload nested as the last field (the transport's envelope) keeps its
+// segments, their offsets shifted past the fields in front of it.
+struct Framed {
+  std::uint32_t seq = 0;
+  Payload inner;
+  template <class A> void fields(A& a) { a(seq, inner); }
+};
+
+TEST(Owned, ANestedPayloadCarriesItsSegments) {
+  const Payload inner = encode(two_columns());
+  Payload framed = encode(Framed{3, inner});
+  ASSERT_EQ(framed.segments.size(), 2u);
+  EXPECT_EQ(framed.segments[0].offset, 4u + 8u + inner.segments[0].offset);
+  Writer w;
+  w.put<std::uint32_t>(3).put_bytes(inner.flatten());
+  EXPECT_EQ(framed.flatten(), w.take());
+
+  const Framed back = decode<Framed>(framed);
+  EXPECT_EQ(back.seq, 3u);
+  EXPECT_EQ(back.inner, inner);
 }
 
 }  // namespace

@@ -41,12 +41,13 @@ TEST(World, PingPongAcrossHosts) {
 
   Pid ponger = w.spawn(h1, "ponger", [&](Context& ctx) -> Task<> {
     Message m = co_await ctx.recv(1);
-    co_await ctx.send(m.src, 2, to_bytes("pong:" + to_string(m.payload)));
+    co_await ctx.send(m.src, 2,
+                      to_bytes("pong:" + to_string(m.payload.head)));
   });
   w.spawn(h0, "pinger", [&](Context& ctx) -> Task<> {
     co_await ctx.send(ponger, 1, to_bytes("hello"));
     Message m = co_await ctx.recv(2);
-    got = to_string(m.payload);
+    got = to_string(m.payload.head);
   });
   w.run();
   EXPECT_EQ(got, "pong:hello");
