@@ -78,4 +78,10 @@ class Suite {
 /// fig5-fig9 macro wall times, and fuzz scenario classes.
 Suite default_suite();
 
+/// The `data.column_move` micro: columns/s through a SOR-shaped move. It
+/// has a file of its own because GCC budgets inlining per file: inside
+/// suite.cpp its inlined move code left `msg::encode` less inlined there,
+/// and `msg.protocol_roundtrip` lost a fifth of its rate.
+double column_move(const BenchOptions&, std::map<std::string, double>& extra);
+
 }  // namespace nowlb::perf
