@@ -111,7 +111,7 @@ lb::ClusterConfig lu_cluster_config(const LuConfig& cfg, int slaves,
 void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
               std::shared_ptr<LuShared> shared) {
   shared->units_by_rank.assign(cluster.slaves(), 0.0);
-  shared->probe.assign(cluster.slaves(), "start");
+  shared->probe.assign(cluster.slaves(), Probe{});
 
   cluster.spawn([cfg, shared](Context& ctx, int rank,
                               const lb::Cluster& c) -> Task<> {
@@ -211,11 +211,10 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
             // on would deadlock: no one else can broadcast this pivot.
             break;
           }
-          shared->probe[rank] = "pivot k=" + std::to_string(k);
+          shared->probe[rank] = {"pivot", {{"k", k}}};
           const Time w0 = ctx.now();
           Message m = co_await ctx.recv(sim::kAnyTag, sim::kAnyPid);
-          shared->probe[rank] = "pivot-got k=" + std::to_string(k) +
-                                " tag=" + std::to_string(m.tag);
+          shared->probe[rank] = {"pivot-got", {{"k", k}, {"tag", m.tag}}};
           if (agent) agent->note_blocked(ctx.now() - w0);
           if (m.tag == kTagPivot) {
             auto bcast = msg::decode<Pivot<>>(m.payload);
@@ -248,16 +247,16 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
       // Hook at the end of each distributed-loop invocation (§4.2; §4.7's
       // frequency adaptation spaces the actual balances out in units).
       if (agent) {
-        shared->probe[rank] = "hook k=" + std::to_string(k);
+        shared->probe[rank] = {"hook", {{"k", k}}};
         co_await agent->hook();
       }
     }
 
     k_now = n - 1;  // column n-1 needs no further work
     if (agent) {
-      shared->probe[rank] = "finalize";
+      shared->probe[rank] = {"finalize"};
       co_await agent->finalize();
-      shared->probe[rank] = "done";
+      shared->probe[rank] = {"done"};
     }
     // Column n-1 is never a pivot, so no step waits for it: a transfer
     // that delivers it after this rank's last update (while finalize

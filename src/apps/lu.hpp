@@ -17,9 +17,9 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "apps/probe.hpp"
 #include "lb/cluster.hpp"
 #include "loop/spec.hpp"
 #include "sim/world.hpp"
@@ -42,7 +42,7 @@ struct LuShared {
   std::vector<int> final_owner;
   std::vector<double> units_by_rank;  // column-step updates per rank
   /// Last blocking point per rank (debugging aid for protocol stalls).
-  std::vector<std::string> probe;
+  std::vector<Probe> probe;
 };
 
 loop::LoopNestSpec lu_spec(const LuConfig& cfg);

@@ -125,7 +125,7 @@ lb::ClusterConfig sor_cluster_config(const SorConfig& cfg, int slaves,
 void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
                std::shared_ptr<SorShared> shared) {
   shared->units_by_rank.assign(cluster.slaves(), 0.0);
-  shared->probe.assign(cluster.slaves(), "start");
+  shared->probe.assign(cluster.slaves(), Probe{});
 
   cluster.spawn([cfg, shared](Context& ctx, int rank,
                               const lb::Cluster& c) -> Task<> {
@@ -198,21 +198,20 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
     // Owned columns are contiguous and their markers never increase left to
     // right (checked after every move), so the minimum marker is the highest
     // column's and the columns at it are the top run: the strip loop reads
-    // only that run, never the whole owned set. A rank always keeps a column.
+    // only that run, never the whole owned set, and finds it with one binary
+    // search (top_below relies on the staircase). A rank always keeps a
+    // column.
     const auto min_marker = [&cols]() {
       return cols.marker(cols.highest_id());
     };
-    // Lowest column of the top run at marker p.
+    // Lowest column of the top run at the minimum marker p.
     const auto run_begin = [&cols](int p) {
-      const int run = cols.top_run([p](int m) { return m == p; });
-      return cols.highest_id() - run + 1;
+      return cols.highest_id() - cols.top_below(p + 1) + 1;
     };
 
     // ---- work movement (the compiler-generated gather/scatter, §4.5) ----
     lb::SlaveAgent::WorkOps ops;
-    ops.remaining = [&cols, strips] {
-      return cols.top_run([strips](int m) { return m < strips; });
-    };
+    ops.remaining = [&cols, strips] { return cols.top_below(strips); };
     ops.pack = [&, rank](int count,
                          int peer) -> Task<std::pair<Payload, int>> {
       // Keep at least one column: an empty rank breaks the pipeline chain.
@@ -321,15 +320,14 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
           ghost_stash.erase(it);
           co_return seg;
         }
-        shared->probe[rank] = "ghost sweep=" + std::to_string(sweep) +
-                              " strip=" + std::to_string(strip) +
-                              " col=" + std::to_string(col);
+        shared->probe[rank] = {
+            "ghost", {{"sweep", sweep}, {"strip", strip}, {"col", col}}};
         // Pump *everything*: the awaited segment can be superseded by a
         // work transfer, whose matching instructions come from the master
         // — listening only to the left peer can deadlock with the needed
         // message already sitting in our own mailbox.
         Message m = co_await ctx.recv(sim::kAnyTag, sim::kAnyPid);
-        shared->probe[rank] = "ghost-got tag=" + std::to_string(m.tag);
+        shared->probe[rank] = {"ghost-got", {{"tag", m.tag}}};
         if (m.tag == lb::kTagMove || m.tag == lb::kTagInstr) {
           NOWLB_CHECK(agent.has_value(), "runtime message without balancer");
           co_await agent->accept_runtime(std::move(m));
@@ -371,7 +369,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       }
       if (has_right) {
         const Time w0 = ctx.now();
-        shared->probe[rank] = "sweepstart sweep=" + std::to_string(sweep);
+        shared->probe[rank] = {"sweepstart", {{"sweep", sweep}}};
         Message m = co_await ctx.recv(kTagSweepStart, right_pid);
         if (agent) agent->note_blocked(ctx.now() - w0);
         auto start = msg::decode<SweepStart<>>(m.payload);
@@ -390,9 +388,9 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
           if (!agent) break;  // static run: the sweep simply ends
           // Sweep locally complete; run balance rounds until the master
           // declares the invocation done (we may receive more columns).
-          shared->probe[rank] = "drain sweep=" + std::to_string(sweep);
+          shared->probe[rank] = {"drain", {{"sweep", sweep}}};
           co_await agent->drain();
-          shared->probe[rank] = "drained";
+          shared->probe[rank] = {"drained"};
           if (agent->phase_done()) break;
           continue;
         }
@@ -494,7 +492,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         shared->units_by_rank[static_cast<std::size_t>(rank)] += units;
         if (agent) {
           agent->add_units(units);
-          shared->probe[rank] = "hook strip=" + std::to_string(p);
+          shared->probe[rank] = {"hook", {{"strip", p}}};
           co_await agent->hook();
         }
       }

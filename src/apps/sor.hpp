@@ -26,9 +26,9 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "apps/probe.hpp"
 #include "lb/cluster.hpp"
 #include "loop/spec.hpp"
 #include "sim/world.hpp"
@@ -61,7 +61,7 @@ struct SorShared {
   /// Units (column-sweeps) computed per rank, including catch-up work.
   std::vector<double> units_by_rank;
   /// Last blocking point per rank (debugging aid for protocol stalls).
-  std::vector<std::string> probe;
+  std::vector<Probe> probe;
 };
 
 loop::LoopNestSpec sor_spec(const SorConfig& cfg);

@@ -308,13 +308,13 @@ FuzzResult run_scenario(const Scenario& sc, InvariantSet::Fault fault,
         stuck += proc.name();
       }
     }
-    const std::vector<std::string>* probes = nullptr;
+    const std::vector<apps::Probe>* probes = nullptr;
     if (sor) probes = &sor->probe;
     if (lu) probes = &lu->probe;
     if (probes != nullptr) {
       stuck += " | probes:";
       for (int r = 0; r < sc.slaves; ++r) {
-        stuck += " [" + std::to_string(r) + "] " + (*probes)[r];
+        stuck += " [" + std::to_string(r) + "] " + (*probes)[r].text();
       }
     }
     set.record({"termination",

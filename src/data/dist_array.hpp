@@ -5,13 +5,14 @@
 // local portion is not a contiguous block: slices are looked up through the
 // owned-index structure — the paper's "extra level of indirection" (§4.5).
 // Here that index is one vector of entries sorted by id: a lookup is a
-// binary search, and the walks (owned ids, the top run, markers from an id
-// up, the staircase check, the predicate walks over (id, marker)) are
-// contiguous. A single add or remove shifts the entries above it; a
-// movement payload adds or drops its whole batch in one pass (Moving). A
-// reference to a slice's vector is valid until the next add, remove or
-// move; a span of its elements stays valid until that slice itself leaves,
-// and a moved slice takes its elements along: only double slices move.
+// binary search, and the walks (owned ids, markers from an id up, the
+// staircase check, the predicate walks over (id, marker)) are contiguous.
+// A single add or remove shifts the entries above it; a movement payload
+// adds or drops its whole batch in one pass, finding each entry from the
+// one before (Moving). A reference to a slice's vector is valid until the
+// next add, remove or move; a span of its elements stays valid until that
+// slice itself leaves, and a moved slice takes its elements along: only
+// double slices move.
 //
 // Each slice carries an application-defined integer `marker` that records
 // how far the slice has been computed: SOR's strips and LU's steps, for the
@@ -101,14 +102,14 @@ class DistArray {
     return slices_.back().id;
   }
 
-  /// Length of the run of highest ids whose markers all satisfy `pred`:
-  /// walks down from the highest id and stops at the first that fails.
-  template <typename Pred>
-  int top_run(Pred pred) const {
-    const auto stop =
-        std::find_if_not(slices_.rbegin(), slices_.rend(),
-                         [&pred](const Slice& s) { return pred(s.marker); });
-    return static_cast<int>(stop - slices_.rbegin());
+  /// Number of highest slices whose marker is below `m`. Requires that the
+  /// markers never rise with the id, as in a staircase (is_staircase()):
+  /// those slices are then the highest ones, found by one binary search.
+  int top_below(int m) const {
+    const auto first = std::partition_point(
+        slices_.begin(), slices_.end(),
+        [m](const Slice& s) { return s.marker >= m; });
+    return static_cast<int>(slices_.end() - first);
   }
 
   /// Number of held slices with `pred(id, marker)`.
@@ -186,8 +187,11 @@ class DistArray {
   /// Reading it takes each record's vector back from its segment; the last
   /// one merges the batch into the array in one pass. So a moved slice's
   /// values are never copied, and a move costs one pass over the array,
-  /// not one shift per slice. The ownership ledger sees one removal per
-  /// slice written and one add per slice read, in wire order.
+  /// not one shift per slice. Sizing and writing visit the records in id
+  /// order, so each record is first looked for in the entry after the
+  /// previous record's: a run of neighbouring ids, as SOR moves, costs one
+  /// binary search a pass. The ownership ledger sees one removal per slice
+  /// written and one add per slice read, in wire order.
   class Moving {
     static_assert(std::is_same_v<T, double>,
                   "only double slices move: a payload segment holds a "
@@ -208,11 +212,11 @@ class DistArray {
 
     std::size_t size() const { return ids_.size(); }
     Record<std::span<const T>> record(std::size_t i) const {
-      const Slice& s = array_->slices_[array_->held(ids_[i])];
+      const Slice& s = array_->slices_[find(i)];
       return {s.id, s.marker, {s.data}};
     }
     Record<> take(std::size_t i) {
-      Slice& s = array_->slices_[array_->held(ids_[i])];
+      Slice& s = array_->slices_[find(i)];
       Record<> r{s.id, s.marker, {std::move(s.data)}};
       array_->report(&SliceLedger::on_slice_removed, r.id);
       NOWLB_CHECK(r.contents.values.size() == array_->slice_len_,
@@ -243,10 +247,22 @@ class DistArray {
     std::vector<SliceId> ids() && { return std::move(ids_); }
 
    private:
+    /// Index of the entry of ids_[i]: the entry after the last one found
+    /// when it holds that id, else a binary search (which throws when the
+    /// id is not held).
+    std::size_t find(std::size_t i) const {
+      const std::vector<Slice>& slices = array_->slices_;
+      if (next_ >= slices.size() || slices[next_].id != ids_[i]) {
+        next_ = array_->held(ids_[i]);
+      }
+      return next_++;
+    }
+
     DistArray* array_;
     std::vector<SliceId> ids_;
     std::vector<Slice> batch_;  // read, not yet merged
     std::size_t expected_ = 0;  // records in the payload being read
+    mutable std::size_t next_ = 0;  // entry after the last one found
   };
 
   /// Move the given slices out into a movement payload, each slice's
@@ -290,17 +306,28 @@ class DistArray {
     });
   }
 
-  /// Adds `batch` (ascending ids) in one pass; throws if an id is held.
+  /// Adds `batch` (ascending ids, not empty) in one pass; throws if an id
+  /// is held. A batch wholly above or below the held ids, as SOR's moves
+  /// are, is appended or prepended. One that interleaves with them, as
+  /// MM's can, is checked id by id before the array changes.
   void merge(std::vector<Slice>& batch) {
-    for (const Slice& s : batch) {
-      NOWLB_CHECK(!owns(s.id), "slice " << s.id << " already present");
+    const auto first = std::make_move_iterator(batch.begin());
+    const auto last = std::make_move_iterator(batch.end());
+    if (slices_.empty() || slices_.back().id < batch.front().id) {
+      slices_.insert(slices_.end(), first, last);
+    } else if (batch.back().id < slices_.front().id) {
+      slices_.insert(slices_.begin(), first, last);
+    } else {
+      for (const Slice& s : batch) {
+        NOWLB_CHECK(!owns(s.id), "slice " << s.id << " already present");
+      }
+      const auto mid = static_cast<std::ptrdiff_t>(slices_.size());
+      slices_.insert(slices_.end(), first, last);
+      std::inplace_merge(
+          slices_.begin(), slices_.begin() + mid, slices_.end(),
+          [](const Slice& a, const Slice& b) { return a.id < b.id; });
     }
-    const auto mid = static_cast<std::ptrdiff_t>(slices_.size());
-    std::move(batch.begin(), batch.end(), std::back_inserter(slices_));
     batch.clear();
-    std::inplace_merge(
-        slices_.begin(), slices_.begin() + mid, slices_.end(),
-        [](const Slice& a, const Slice& b) { return a.id < b.id; });
   }
 
   void report(void (SliceLedger::*event)(int, SliceId), SliceId id) const {

@@ -210,8 +210,9 @@ double slice_pack_unpack(const BenchOptions&,
 /// SOR's strip loop without the arithmetic, on one rank's 1,000 columns of
 /// 2,000 rows. Each sweep starts as a staircase: the lower half one strip
 /// ahead, as after columns arrive from the left neighbour. One operation is
-/// one strip's data work: the top run at the lowest marker, then the run's
-/// markers move past the strip.
+/// one strip's data work: the top run at the lowest marker (the columns
+/// below the next one, as sor.cpp finds it), then the run's markers move
+/// past the strip.
 double sor_strip(const BenchOptions&, std::map<std::string, double>& extra) {
   constexpr int kColumns = 1'000;
   constexpr std::size_t kRows = 2'000;
@@ -228,7 +229,7 @@ double sor_strip(const BenchOptions&, std::map<std::string, double>& extra) {
     cols.set_markers_from(kColumns / 2 + 1, 0);
     for (int strip = 0; strip < kStrips; ++strip) {
       const int p = cols.marker(cols.highest_id());
-      const int run = cols.top_run([p](int m) { return m == p; });
+      const int run = cols.top_below(p + 1);
       cols.set_markers_from(cols.highest_id() - run + 1, p + 1);
       run_columns += run;
     }

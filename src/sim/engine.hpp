@@ -15,6 +15,7 @@
 #include <exception>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -38,7 +39,7 @@ class Engine {
 
   EventId schedule_at(Time t, Callback cb);
   EventId schedule_after(Time dt, Callback cb) {
-    return schedule_at(now_ + dt, cb);
+    return schedule_at(now_ + dt, std::move(cb));
   }
 
   /// Cancel a pending event. Safe to call after the event has fired.

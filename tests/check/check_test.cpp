@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "check/scenario.hpp"
@@ -229,6 +230,59 @@ TEST(Scenario, ProcessExceptionIsRecordedAsFailure) {
   ASSERT_FALSE(res.ok);
   EXPECT_EQ(res.failures.front().checker, "process");
   for (const Failure& f : res.failures) EXPECT_NE(f.checker, "termination");
+}
+
+// A run that misses its time bound fails `termination`, and the failure
+// names where every slave last blocked or hooked (its probe). Six stops of
+// SOR and LU scenarios cover every probe state but LU's brief `finalize`.
+TEST(Scenario, TimeoutNamesEveryRanksProbe) {
+  struct Stop {
+    App app;
+    std::uint64_t seed;
+    sim::Time bound;
+    std::string message;
+  };
+  const std::string running7 =
+      "7 essential process(es) still running at the ";
+  const std::string slaves6 =
+      "s time bound: slave0, slave1, slave2, slave3, slave4, slave5, master"
+      " | probes:";
+  const Stop stops[] = {
+      {App::kSor, 1, 100'000,
+       running7 + "0.000100" + slaves6 +
+           " [0] start [1] start [2] start [3] start [4] start [5] start"},
+      {App::kSor, 1, 4'300'000,
+       running7 + "0.004300" + slaves6 +
+           " [0] drain sweep=0 [1] ghost-got tag=8002 [2] ghost sweep=0"
+           " strip=0 col=12 [3] ghost sweep=0 strip=0 col=18 [4] sweepstart"
+           " sweep=0 [5] start"},
+      {App::kSor, 1, 330'200'000,
+       running7 + "0.330200" + slaves6 +
+           " [0] sweepstart sweep=1 [1] drained [2] drained [3] sweepstart"
+           " sweep=1 [4] drain sweep=0 [5] drain sweep=0"},
+      {App::kSor, 3, 2'700'000,
+       running7 + "0.002700" + slaves6 +
+           " [0] hook strip=3 [1] ghost sweep=0 strip=0 col=5 [2] ghost"
+           " sweep=0 strip=0 col=10 [3] ghost sweep=0 strip=0 col=15 [4]"
+           " ghost sweep=0 strip=0 col=20 [5] ghost sweep=0 strip=0 col=25"},
+      {App::kLu, 1, 5'600'000,
+       running7 + "0.005600" + slaves6 +
+           " [0] pivot k=5 [1] hook k=4 [2] pivot k=5 [3] pivot-got k=4"
+           " tag=8101 [4] pivot-got k=4 tag=8101 [5] pivot k=4"},
+      {App::kLu, 1, 25'400'000,
+       "6 essential process(es) still running at the 0.025400s time bound:"
+       " slave0, slave1, slave2, slave3, slave4, master | probes: [0] pivot"
+       " k=23 [1] pivot k=23 [2] pivot k=23 [3] pivot k=23 [4] pivot k=23"
+       " [5] done"},
+  };
+  for (const Stop& stop : stops) {
+    Scenario sc = generate_scenario(stop.seed, stop.app);
+    sc.time_bound = stop.bound;
+    const FuzzResult res = run_scenario(sc);
+    ASSERT_EQ(res.failures.size(), 1u) << sc.describe();
+    EXPECT_EQ(res.failures.front().checker, "termination");
+    EXPECT_EQ(res.failures.front().message, stop.message);
+  }
 }
 
 TEST(Scenario, GeneratorIsSeedStable) {

@@ -194,11 +194,11 @@ std::vector<int> markers_of(const DistArray<double>& a) {
 
 TEST(DistArray, TopRunStopsAtFirstFailingMarker) {
   const auto a = staircase();
-  EXPECT_EQ(a.top_run([](int m) { return m == 3; }), 3);
-  EXPECT_EQ(a.top_run([](int m) { return m < 5; }), 3);
-  EXPECT_EQ(a.top_run([](int m) { return m < 6; }), 5);
-  EXPECT_EQ(a.top_run([](int m) { return m == 5; }), 0);
-  EXPECT_EQ(DistArray<double>(2).top_run([](int) { return true; }), 0);
+  EXPECT_EQ(a.top_below(4), 3);  // the top run at the minimum marker, 3
+  EXPECT_EQ(a.top_below(5), 3);
+  EXPECT_EQ(a.top_below(6), 5);
+  EXPECT_EQ(a.top_below(3), 0);
+  EXPECT_EQ(DistArray<double>(2).top_below(1), 0);
 }
 
 TEST(DistArray, SetMarkersFromUpdatesOnlyIdsAtOrAbove) {
@@ -331,10 +331,11 @@ void expect_matches(const DistArray<double>& a, const Model& m) {
   }
 }
 
-template <typename Pred>
-int model_top_run(const Model& m, Pred pred) {
+// The run of highest ids whose markers are below `marker`, walked down.
+int model_top_below(const Model& m, int marker) {
   int n = 0;
-  for (auto it = m.rbegin(); it != m.rend() && pred(it->second.first); ++it) {
+  for (auto it = m.rbegin(); it != m.rend() && it->second.first < marker;
+       ++it) {
     ++n;
   }
   return n;
@@ -452,10 +453,16 @@ TEST(DistArray, MatchesAnOrderedMapModel) {
           break;
         }
         case 5: {
-          const auto eq = [marker](int x) { return x == marker; };
-          const auto below = [marker](int x) { return x < marker; };
-          EXPECT_EQ(a[r].top_run(eq), model_top_run(m[r], eq));
-          EXPECT_EQ(a[r].top_run(below), model_top_run(m[r], below));
+          // top_below needs markers that never rise with the id: lay a
+          // staircase from a random split, then look up every threshold.
+          if (m[r].empty()) break;
+          const SliceId split = pick(m[r], rng);
+          a[r].set_markers_from(a[r].lowest_id(), marker + 1);
+          a[r].set_markers_from(split, marker);
+          for (auto& [id, s] : m[r]) s.first = id < split ? marker + 1 : marker;
+          for (int t = marker - 1; t <= marker + 2; ++t) {
+            EXPECT_EQ(a[r].top_below(t), model_top_below(m[r], t)) << t;
+          }
           break;
         }
         default: {
@@ -517,6 +524,141 @@ TEST(DistArray, ReadRejectsAHeldIdAndKeepsTheArray) {
   EXPECT_EQ(dst.slice(13), (std::vector<double>{7.0, 7.0}));
   // Only the two set-up adds: a rejected batch reports nothing.
   EXPECT_EQ(log.events.size(), 2u);
+}
+
+// ------------------------------------------ batches find their entries
+
+std::vector<double> contents_of(SliceId id) {
+  return {static_cast<double>(id), static_cast<double>(-id)};
+}
+
+// Columns 10..19 with marker id % 4 and contents_of(id).
+DistArray<double> ten() {
+  DistArray<double> a(2);
+  for (SliceId id = 10; id < 20; ++id) a.add(id, contents_of(id), id % 4);
+  return a;
+}
+
+// A batch whose ids skip held ones, and one that takes both ends, pack
+// exactly the records of those slices (sizing and writing each search
+// anew), so each entry is found wherever the one before it was.
+TEST(DistArray, ScatteredAndBothEndBatchesPackTheirRecords) {
+  const std::vector<std::vector<SliceId>> batches = {
+      {11, 13, 14, 17}, {10, 11, 18, 19}, {10, 19}, {15}};
+  for (const std::vector<SliceId>& ids : batches) {
+    auto a = ten();
+    std::vector<Record> records;
+    std::vector<SliceId> kept;
+    for (SliceId id = 10; id < 20; ++id) {
+      if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
+        records.push_back({id, id % 4, {contents_of(id)}});
+      } else {
+        kept.push_back(id);
+      }
+    }
+    EXPECT_EQ(a.pack_and_remove(ids), msg::encode(records));
+    EXPECT_EQ(a.owned_ids(), kept);
+  }
+}
+
+TEST(DistArray, MissingIdStillThrowsNotLocal) {
+  auto a = ten();
+  expect_fault([&] { a.pack_and_remove({9, 10}); }, "slice 9 not local");
+  expect_fault([&] { a.pack_and_remove({12, 13, 20}); }, "slice 20 not local");
+  a.remove(15);
+  expect_fault([&] { a.pack_and_remove({14, 15, 16}); }, "slice 15 not local");
+  // Sizing finds the missing id before any slice is taken.
+  EXPECT_EQ(a.owned_count(), 9);
+  EXPECT_EQ(a.slice(14), contents_of(14));
+}
+
+// A batch above the held ids is appended, one below them prepended, and
+// one between them merged; each reports a removal on the sender and an
+// add on the receiver per slice, in wire order.
+TEST(DistArray, BatchesAboveBelowAndBetweenMergeInOrder) {
+  EventLog log;
+  const SliceLedgerScope scope(&log);
+  auto src = ten();  // 10..19
+  src.enable_ownership_checks(0);
+  DistArray<double> dst(2);
+  dst.enable_ownership_checks(1);
+  dst.add(14, {0.5, 0.5}, 7);
+  log.events.clear();
+
+  const std::vector<std::vector<SliceId>> batches = {
+      {15, 16, 18},  // above 14
+      {10, 11},      // below 14
+      {12, 17, 19},  // between and beyond
+      {13}};         // the last gap
+  std::vector<std::tuple<char, int, SliceId>> want;
+  for (const std::vector<SliceId>& ids : batches) {
+    EXPECT_EQ(dst.unpack_and_add(src.pack_and_remove(ids)), ids);
+    for (SliceId id : ids) want.emplace_back('-', 0, id);
+    for (SliceId id : ids) want.emplace_back('+', 1, id);
+  }
+  EXPECT_EQ(log.events, want);
+  EXPECT_EQ(src.owned_ids(), (std::vector<SliceId>{14}));
+  EXPECT_EQ(dst.owned_ids(),
+            (std::vector<SliceId>{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}));
+  for (SliceId id = 10; id < 20; ++id) {
+    if (id == 14) continue;
+    EXPECT_EQ(dst.marker(id), id % 4);
+    EXPECT_EQ(dst.slice(id), contents_of(id));
+  }
+  EXPECT_EQ(dst.marker(14), 7);
+  EXPECT_EQ(dst.slice(14), (std::vector<double>{0.5, 0.5}));
+}
+
+// A batch that shares only an end id with the array is no append or
+// prepend: the shared id is rejected before the array changes.
+TEST(DistArray, BatchMeetingAnEndRejectsTheSharedId) {
+  const std::vector<std::vector<SliceId>> batches = {{14, 15}, {9, 12}};
+  for (const std::vector<SliceId>& ids : batches) {
+    auto src = ten();
+    src.add(9, contents_of(9));
+    DistArray<double> dst(2);
+    dst.add(12, {1.0, 1.0});
+    dst.add(14, {2.0, 2.0});
+    expect_fault([&] { dst.unpack_and_add(src.pack_and_remove(ids)); },
+                 "already present");
+    EXPECT_EQ(dst.owned_ids(), (std::vector<SliceId>{12, 14}));
+    EXPECT_EQ(dst.slice(12), (std::vector<double>{1.0, 1.0}));
+  }
+}
+
+// On random staircases (empty, one run, several runs) the binary search
+// counts what a walk down from the highest id counts, for thresholds
+// below, at and above every marker.
+TEST(DistArray, TopBelowMatchesALinearCountOnStaircases) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const auto n = static_cast<int>(rng.below(12));
+    const auto base = static_cast<SliceId>(rng.below(50));
+    int marker = static_cast<int>(rng.below(20));
+    const auto drop_every = 1 + rng.below(6);  // 1: a drop at every column
+    std::vector<int> markers;
+    DistArray<double> a(1);
+    for (int i = 0; i < n; ++i) {
+      if (i > 0 && rng.below(drop_every) == 0) {
+        marker -= static_cast<int>(rng.below(3));
+      }
+      markers.push_back(marker);
+      a.add(base + i, {0.0}, marker);
+    }
+    ASSERT_TRUE(a.is_staircase());
+    std::vector<int> thresholds = {-100, 100};
+    for (int m : markers) {
+      thresholds.insert(thresholds.end(), {m - 1, m, m + 1});
+    }
+    for (int t : thresholds) {
+      int want = 0;
+      for (auto it = markers.rbegin(); it != markers.rend() && *it < t; ++it) {
+        ++want;
+      }
+      EXPECT_EQ(a.top_below(t), want) << "threshold " << t;
+    }
+  }
 }
 
 }  // namespace

@@ -48,6 +48,30 @@ TEST(Engine, ScheduleAfterUsesCurrentTime) {
   EXPECT_EQ(seen, 150);
 }
 
+// std::function keeps a callable that is large or not trivially copyable
+// on the heap, and copying the function copies the callable. The reliable
+// transport arms such a timer, a 20-byte closure, on every send, so
+// scheduling must move the callback all the way into the queue.
+TEST(Engine, ScheduleAfterMovesItsCallback) {
+  struct Counted {
+    int* copies;
+    bool* fired;
+    Counted(int* c, bool* f) : copies(c), fired(f) {}
+    Counted(const Counted& o) : copies(o.copies), fired(o.fired) {
+      ++*copies;
+    }
+    Counted(Counted&&) noexcept = default;
+    void operator()() const { *fired = true; }
+  };
+  int copies = 0;
+  bool fired = false;
+  Engine e;
+  e.schedule_after(10, Counted(&copies, &fired));
+  e.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(Engine, CancelPreventsDispatch) {
   Engine e;
   bool fired = false;
