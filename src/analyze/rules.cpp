@@ -16,7 +16,7 @@ const std::vector<Rule> kCatalog = {
      "iteration order is unspecified: use std::map / sorted vector, or "
      "NOLINT with a reason"},
     {"L001", kRuleLayer,
-     "depend downward only (util < msg < sim < obs < data < lb < load/loop "
+     "depend downward only (util < msg < obs < sim < data < lb < load/loop "
      "< apps < exp/check); move shared code down a layer"},
     {"L002", kRuleCycle,
      "break the include cycle with a forward declaration or an interface "
@@ -114,7 +114,7 @@ const Rule* rule_by_name(const std::string& name) {
 
 const std::map<std::string, int>& layer_of() {
   static const std::map<std::string, int> kLayers = {
-      {"util", 0}, {"msg", 1},  {"sim", 2},  {"obs", 3},
+      {"util", 0}, {"msg", 1},  {"obs", 2},  {"sim", 3},
       {"data", 4}, {"lb", 5},   {"load", 6}, {"loop", 6},
       {"apps", 7}, {"exp", 8},  {"check", 8}, {"analyze", 9},
       {"perf", 9},

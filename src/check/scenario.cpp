@@ -324,8 +324,11 @@ FuzzResult run_scenario(const Scenario& sc, InvariantSet::Fault fault,
                     "s time bound: " + stuck,
                 end});
   }
-  set.on_run_end(end);
+  // The end-of-run checks and the oracle read a finished run only: a run
+  // that stopped early fails with the failure that stopped it, not with
+  // the work its stop left in flight.
   if (terminated) {
+    set.on_run_end(end);
     // Numerical oracle: the parallel kernels preserve the sequential FP
     // evaluation order, so the comparison is bit-exact.
     switch (sc.app) {

@@ -33,6 +33,7 @@
 #include "obs/obs.hpp"
 #include "obs/runfile.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -200,20 +201,6 @@ void print_text_report(const LoadedRun& run, const CausalGraph& g,
   }
 }
 
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
 void print_json_report(const LoadedRun& run, const CausalGraph& g,
                        std::size_t top_k) {
   std::ostringstream os;
@@ -222,11 +209,9 @@ void print_json_report(const LoadedRun& run, const CausalGraph& g,
   for (const auto& [key, value] : run.meta) {
     if (!first) os << ",";
     first = false;
-    os << "\"";
-    json_escape(os, key);
-    os << "\":\"";
-    json_escape(os, value);
-    os << "\"";
+    nowlb::write_json_string(os, key);
+    os << ":";
+    nowlb::write_json_string(os, value);
   }
   os << "},\"nranks\":" << g.nranks << ",\"wall_s\":" << g.wall_s()
      << ",\"compute_s\":" << g.total_compute_s() << ",\"efficiency\":";
@@ -267,9 +252,7 @@ void print_json_report(const LoadedRun& run, const CausalGraph& g,
   for (const std::string& p : g.problems) {
     if (!first) os << ",";
     first = false;
-    os << "\"";
-    json_escape(os, p);
-    os << "\"";
+    nowlb::write_json_string(os, p);
   }
   os << "]}";
   std::printf("%s\n", os.str().c_str());

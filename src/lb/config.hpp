@@ -29,16 +29,10 @@ enum class Movement {
 
 /// Reliable-delivery layer for the master/slave protocol (DESIGN.md §9).
 /// Off by default: the classic runtime assumes a perfect network and its
-/// wire format and timing must stay bit-identical.
+/// wire format and timing must stay bit-identical. Its retransmission
+/// timeout and retry budget are constants of lb/transport.cpp.
 struct TransportConfig {
   bool enabled = false;
-  /// Initial retransmission timeout; should comfortably exceed one
-  /// round-trip (wire latency + transmit + ack) under load. Each further
-  /// retransmission of one message doubles it.
-  Time rto = 20 * sim::kMillisecond;
-  /// Retransmissions before giving a message up for lost (the peer is
-  /// presumed dead; the failure detector is responsible for acting on it).
-  int max_retries = 8;
 };
 
 struct LbConfig {

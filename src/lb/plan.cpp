@@ -61,9 +61,8 @@ std::vector<Transfer> plan_restricted(const std::vector<int>& current,
     new_prefix += target[j - 1];
     const int flow = old_prefix - new_prefix;
     if (flow > 0) {
-      // Boundary moves left: rank j-1 shrinks from the right; units cross
-      // from rank j-1 to rank j... no: old boundary > new boundary means
-      // rank j-1 now ends earlier, so its highest slices go right to rank j.
+      // Boundary moves left: rank j-1 now ends earlier, so its highest
+      // slices go right to rank j.
       out.push_back({static_cast<int>(j - 1), static_cast<int>(j), flow});
     } else if (flow < 0) {
       // Boundary moves right: rank j's lowest slices go left to rank j-1.

@@ -11,6 +11,18 @@
 
 namespace nowlb::lb {
 
+namespace {
+
+/// Initial retransmission timeout; comfortably above one round-trip (wire
+/// latency + transmit + ack) under load. Each further retransmission of
+/// one message doubles it.
+constexpr sim::Time kRto = 20 * sim::kMillisecond;
+/// Retransmissions before giving a message up for lost (the peer is
+/// presumed dead; the failure detector is responsible for acting on it).
+constexpr int kMaxRetries = 8;
+
+}  // namespace
+
 Transport::Transport(sim::Context& ctx, TransportConfig cfg,
                      std::vector<sim::Tag> reliable_tags, EventSink* check)
     : ctx_(ctx),
@@ -103,7 +115,7 @@ void Transport::arm_timer(Key k, std::uint32_t seq) {
   // Each retransmission of one message doubles its timeout.
   const double scale = std::pow(2.0, jt->second.attempts);
   const sim::Time delay =
-      static_cast<sim::Time>(static_cast<double>(cfg_.rto) * scale);
+      static_cast<sim::Time>(static_cast<double>(kRto) * scale);
   jt->second.timer = ctx_.world().engine().schedule_after(
       delay, [this, k, seq] { on_timeout(k, seq); });
 }
@@ -118,7 +130,7 @@ void Transport::on_timeout(Key k, std::uint32_t seq) {
     return;
   }
   Pending& p = jt->second;
-  if (p.attempts >= cfg_.max_retries) {
+  if (p.attempts >= kMaxRetries) {
     ++stats_.gave_up;
     events_.emit(TransportEvent{.kind = TransportEvent::kGaveUp,
                                 .peer = k.peer,
@@ -230,7 +242,7 @@ sim::Task<> Transport::drain() {
   // pending entry is erased on ack, blackhole, or retry exhaustion.
   const sim::Time t0 = ctx_.now();
   const bool waited = has_pending();
-  while (has_pending()) co_await ctx_.sleep(cfg_.rto / 2);
+  while (has_pending()) co_await ctx_.sleep(kRto / 2);
   if (waited) events_.emit(Drained{t0});
 }
 

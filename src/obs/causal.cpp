@@ -7,14 +7,11 @@
 
 #include "obs/ledger.hpp"
 #include "obs/trace.hpp"
-#include "sim/time.hpp"
+#include "util/time.hpp"
 
 namespace nowlb::obs {
 
 namespace {
-
-using sim::Time;
-using sim::to_seconds;
 
 /// Event arg lookup by key. Loaded runfiles intern their own strings, so
 /// comparison must be by content, not pointer.
@@ -321,7 +318,7 @@ double CausalGraph::total_compute_s() const {
   double total = 0;
   for (const CausalSpan& s : spans) {
     if (s.kind == SpanKind::kWindow) {
-      total += std::max(0.0, sim::to_seconds(s.dur()) - s.blocked_s);
+      total += std::max(0.0, to_seconds(s.dur()) - s.blocked_s);
     }
   }
   return total;
@@ -329,10 +326,10 @@ double CausalGraph::total_compute_s() const {
 
 double CausalGraph::wall_s() const {
   if (spans.empty()) return 0;
-  sim::Time begin = spans.front().begin;
-  sim::Time end = 0;
+  Time begin = spans.front().begin;
+  Time end = 0;
   for (const CausalSpan& s : spans) end = std::max(end, s.end);
-  return sim::to_seconds(end - begin);
+  return to_seconds(end - begin);
 }
 
 double CausalGraph::efficiency() const {

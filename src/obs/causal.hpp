@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.hpp"
+#include "util/time.hpp"
 
 namespace nowlb::obs {
 
@@ -48,13 +48,13 @@ struct CausalSpan {
   /// Wire round (kDecision: decision-ledger round — the numbering the
   /// master's lb.round/lb.decision events use).
   int round = 0;
-  sim::Time begin = 0;
-  sim::Time end = 0;
+  Time begin = 0;
+  Time end = 0;
   /// Blocked share of a kWindow span, in seconds (waits on application
   /// communication and on the balancer, per the slave's accumulator).
   double blocked_s = 0;
 
-  sim::Time dur() const { return end - begin; }
+  Time dur() const { return end - begin; }
 };
 
 /// Where one wire round's time went, summed over the ranks that took part.
@@ -63,8 +63,8 @@ struct RoundBreakdown {
   int decision_round = 0;  // decision-ledger round carried, 0 = priming
   int gate = -1;           // obs::Gate of that decision, -1 = none seen
   int ranks = 0;           // ranks whose window closed this round
-  sim::Time t_begin = 0;   // earliest window begin
-  sim::Time t_end = 0;     // latest event of the round
+  Time t_begin = 0;        // earliest window begin
+  Time t_end = 0;          // latest event of the round
   double compute_s = 0;    // window time minus blocked share
   double blocked_s = 0;    // blocked share of the windows
   double transport_s = 0;  // report + instruction transit

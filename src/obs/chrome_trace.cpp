@@ -6,37 +6,11 @@
 #include <numeric>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace nowlb::obs {
 
 namespace {
-
-void write_escaped(std::ostream& out, const char* s) {
-  for (; *s; ++s) {
-    char c = *s;
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
 
 void write_number(std::ostream& out, double v) {
   if (!std::isfinite(v)) {
@@ -54,13 +28,13 @@ void write_number(std::ostream& out, double v) {
 }
 
 /// Microsecond timestamp: integer when the nanosecond count divides evenly.
-void write_ts(std::ostream& out, sim::Time t) {
-  if (t % sim::kMicrosecond == 0) {
-    out << t / sim::kMicrosecond;
+void write_ts(std::ostream& out, Time t) {
+  if (t % kMicrosecond == 0) {
+    out << t / kMicrosecond;
   } else {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(t) / sim::kMicrosecond);
+                  static_cast<double>(t) / kMicrosecond);
     out << buf;
   }
 }
@@ -72,9 +46,8 @@ void write_args(std::ostream& out, const TraceEvent& e) {
     if (!a->key) continue;
     if (!first) out << ',';
     first = false;
-    out << '"';
-    write_escaped(out, a->key);
-    out << "\":";
+    write_json_string(out, a->key);
+    out << ':';
     write_number(out, a->value);
   }
   out << '}';
@@ -94,16 +67,16 @@ void write_chrome_trace(std::ostream& out, const TraceBus& bus) {
   for (const auto& [host, name] : bus.hosts()) {
     sep();
     out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << host
-        << ",\"tid\":0,\"args\":{\"name\":\"";
-    write_escaped(out, name.c_str());
-    out << "\"}}";
+        << ",\"tid\":0,\"args\":{\"name\":";
+    write_json_string(out, name);
+    out << "}}";
   }
   for (const auto& [key, name] : bus.lanes()) {
     sep();
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << key.first
-        << ",\"tid\":" << key.second << ",\"args\":{\"name\":\"";
-    write_escaped(out, name.c_str());
-    out << "\"}}";
+        << ",\"tid\":" << key.second << ",\"args\":{\"name\":";
+    write_json_string(out, name);
+    out << "}}";
   }
 
   // Stable sort by begin time: a span is pushed when it closes, after
@@ -119,11 +92,11 @@ void write_chrome_trace(std::ostream& out, const TraceBus& bus) {
   for (std::size_t idx : order) {
     const TraceEvent& e = events[idx];
     sep();
-    out << "{\"name\":\"";
-    write_escaped(out, e.name);
-    out << "\",\"cat\":\"";
-    write_escaped(out, e.cat);
-    out << "\",\"ph\":\""
+    out << "{\"name\":";
+    write_json_string(out, e.name);
+    out << ",\"cat\":";
+    write_json_string(out, e.cat);
+    out << ",\"ph\":\""
         << (e.phase == TraceEvent::Phase::kComplete ? 'X' : 'i')
         << "\",\"ts\":";
     write_ts(out, e.t);

@@ -7,8 +7,6 @@ namespace nowlb::obs {
 
 namespace {
 
-using sim::Time;
-
 /// Latest-ending span satisfying `pred` with end <= cutoff; null if none.
 template <typename Pred>
 const CausalSpan* latest_before(const std::vector<CausalSpan>& spans,

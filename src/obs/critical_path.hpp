@@ -23,7 +23,7 @@ struct CriticalPath {
   /// Path spans in time order (earliest first).
   std::vector<CausalSpan> steps;
   /// Sum of the steps' durations.
-  sim::Time length() const;
+  Time length() const;
 };
 
 /// Extract the critical path from a causal graph. Empty when the graph
@@ -34,7 +34,7 @@ CriticalPath critical_path(const CausalGraph& g);
 struct EdgeWeight {
   SpanKind kind = SpanKind::kWindow;
   int rank = -1;        // -1: master-side
-  sim::Time total = 0;  // summed span time on the path
+  Time total = 0;       // summed span time on the path
   int count = 0;        // path steps aggregated
   /// kWindow only: blocked share of `total`, in seconds.
   double blocked_s = 0;

@@ -59,7 +59,7 @@ std::string join(const std::vector<T>& v) {
 
 std::string DecisionLedger::explain_line(const DecisionRecord& r) {
   std::ostringstream os;
-  os << "round " << r.round << " t=" << fmt(sim::to_seconds(r.t), "%.6f")
+  os << "round " << r.round << " t=" << fmt(to_seconds(r.t), "%.6f")
      << "s gate=" << gate_name(r.gate);
   if (!r.reason.empty()) os << " (" << r.reason << ")";
   os << "\n  rates raw=" << join(r.raw_rates) << " filtered=" << join(r.rates)

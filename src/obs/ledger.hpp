@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.hpp"
+#include "util/time.hpp"
 
 namespace nowlb::obs {
 
@@ -48,7 +48,7 @@ struct Move {
 /// Everything the master knew and decided in one balancing round.
 struct DecisionRecord {
   std::uint64_t round = 0;  // 1-based, matches MasterStats::rounds
-  sim::Time t = 0;          // simulated time the decision was made
+  Time t = 0;          // simulated time the decision was made
   Gate gate = Gate::kHold;
   std::string reason;  // planner/master reason string ("rebalance", ...)
 

@@ -2,12 +2,14 @@
 // parts — trace bus, metrics registry, decision ledger.
 //
 // Attach a hub to a World (obs::attach) and every instrumented layer
-// records into it: the engine and network through sim::TraceSink, the
-// master, slave agents and transports through lb's recorder
-// (lb/record.cpp). Attachment is always optional: a null hub costs a
-// pointer test or two per event, and an attached hub never perturbs the
-// simulation clock or RNG streams, so traces stay bit-identical. A run
-// file (obs/runfile.hpp) is how a hub leaves the process.
+// records into it: the world and network write their trace events and
+// sim_* metrics straight into it, and the master, slave agents and
+// transports record through lb's recorder (lb/record.cpp). obs sits below
+// sim in the layering and includes only util. Attachment is always
+// optional: a null hub costs a pointer test or two per event, and an
+// attached hub never perturbs the simulation clock or RNG streams, so
+// traces stay bit-identical. A run file (obs/runfile.hpp) is how a hub
+// leaves the process.
 #pragma once
 
 #include "obs/ledger.hpp"

@@ -22,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/time.hpp"
+#include "util/time.hpp"
 
 namespace nowlb::obs {
 
@@ -33,8 +33,8 @@ struct TraceArg {
 };
 
 struct TraceEvent {
-  sim::Time t = 0;    // simulated time of the event (begin, for spans)
-  sim::Time dur = 0;  // span duration (complete events only)
+  Time t = 0;         // simulated time of the event (begin, for spans)
+  Time dur = 0;       // span duration (complete events only)
   int host = 0;       // Chrome pid
   int lane = 0;       // Chrome tid (protocol agents: their sim pid)
   enum class Phase : std::uint8_t { kInstant, kComplete } phase =
@@ -46,21 +46,19 @@ struct TraceEvent {
 
 class TraceBus {
  public:
+  // The two appends are defined out of line: the simulator calls them from
+  // its per-message path, and an append inlined at each call site would
+  // grow that path for the bare runs that record nothing.
+
   /// Point event at simulated time `t`.
-  void instant(sim::Time t, int host, int lane, const char* cat,
+  void instant(Time t, int host, int lane, const char* cat,
                const char* name, TraceArg a0 = {}, TraceArg a1 = {},
-               TraceArg a2 = {}) {
-    push({t, 0, host, lane, TraceEvent::Phase::kInstant, cat, name, a0, a1,
-          a2});
-  }
+               TraceArg a2 = {});
 
   /// Span covering [begin, end] of simulated time.
-  void complete(sim::Time begin, sim::Time end, int host, int lane,
+  void complete(Time begin, Time end, int host, int lane,
                 const char* cat, const char* name, TraceArg a0 = {},
-                TraceArg a1 = {}, TraceArg a2 = {}) {
-    push({begin, end - begin, host, lane, TraceEvent::Phase::kComplete, cat,
-          name, a0, a1, a2});
-  }
+                TraceArg a1 = {}, TraceArg a2 = {});
 
   /// Name a (host, lane) pair for the exporter's thread_name metadata.
   /// Last writer wins; called once per process at spawn.

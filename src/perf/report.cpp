@@ -3,25 +3,9 @@
 #include <iomanip>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace nowlb::perf {
-
-namespace {
-
-void put_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 std::string to_json(const ReportMeta& meta,
                     const std::vector<BenchResult>& results) {
@@ -31,19 +15,19 @@ std::string to_json(const ReportMeta& meta,
   os << "  \"schema_version\": " << kBenchSchemaVersion << ",\n";
   os << "  \"generator\": \"nowlb-bench\",\n";
   os << "  \"date\": ";
-  put_escaped(os, meta.date);
+  write_json_string(os, meta.date);
   os << ",\n  \"label\": ";
-  put_escaped(os, meta.label);
+  write_json_string(os, meta.label);
   os << ",\n  \"quick\": " << (meta.quick ? "true" : "false") << ",\n";
   os << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     os << "    {\n      \"name\": ";
-    put_escaped(os, r.name);
+    write_json_string(os, r.name);
     os << ",\n      \"group\": ";
-    put_escaped(os, r.group);
+    write_json_string(os, r.group);
     os << ",\n      \"unit\": ";
-    put_escaped(os, r.unit);
+    write_json_string(os, r.unit);
     os << ",\n      \"higher_is_better\": "
        << (r.higher_is_better ? "true" : "false") << ",\n";
     os << "      \"reps\": " << r.reps << ",\n";
@@ -62,7 +46,7 @@ std::string to_json(const ReportMeta& meta,
     for (const auto& [k, v] : r.extra) {
       if (!first) os << ", ";
       first = false;
-      put_escaped(os, k);
+      write_json_string(os, k);
       os << ": " << v;
     }
     os << "}\n    }" << (i + 1 < results.size() ? "," : "") << "\n";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/obs.hpp"
 #include "sim/process.hpp"
 
 namespace nowlb::sim {
@@ -14,14 +15,31 @@ bool Network::fault_eligible(const Message& m, int src_host,
   return m.tag >= cfg_.fault_tag_lo && m.tag <= cfg_.fault_tag_hi;
 }
 
+void Network::record_into(obs::Observability* hub) {
+  if (hub == nullptr) {
+    trace_ = nullptr;
+    sent_ = bytes_ = dropped_ = duplicated_ = nullptr;
+    return;
+  }
+  trace_ = &hub->trace;
+  obs::MetricsRegistry& m = hub->metrics;
+  sent_ = &m.counter("sim_messages_sent", "Messages posted to the network");
+  bytes_ =
+      &m.counter("sim_payload_bytes", "Payload bytes posted to the network");
+  dropped_ = &m.counter("sim_messages_dropped",
+                        "Messages lost in flight (fault injection)");
+  duplicated_ = &m.counter("sim_messages_duplicated",
+                           "Extra copies delivered by duplication faults");
+}
+
 void Network::post(Message m, int src_host, Process& dst, int dst_host) {
-  if (sink_) {
-    sink_->net_count(TraceSink::NetCounter::kMessagesSent, 1);
-    sink_->net_count(TraceSink::NetCounter::kPayloadBytes, m.payload.size());
-    sink_->instant(eng_.now(), src_host, m.src, "msg", "msg.send",
-                   {"tag", static_cast<double>(m.tag)},
-                   {"dst", static_cast<double>(m.dst)},
-                   {"bytes", static_cast<double>(m.payload.size())});
+  if (trace_) {
+    sent_->inc();
+    bytes_->inc(m.payload.size());
+    trace_->instant(eng_.now(), src_host, m.src, "msg", "msg.send",
+                    {"tag", static_cast<double>(m.tag)},
+                    {"dst", static_cast<double>(m.dst)},
+                    {"bytes", static_cast<double>(m.payload.size())});
   }
 
   Time arrival;
@@ -51,12 +69,11 @@ void Network::post(Message m, int src_host, Process& dst, int dst_host) {
           static_cast<double>(cfg_.max_extra_delay));
     }
     if (drop) {
-      ++dropped_;
-      if (sink_) {
-        sink_->net_count(TraceSink::NetCounter::kMessagesDropped, 1);
-        sink_->instant(arrival, dst_host, m.dst, "msg", "msg.drop",
-                       {"tag", static_cast<double>(m.tag)},
-                       {"src", static_cast<double>(m.src)});
+      if (trace_) {
+        dropped_->inc();
+        trace_->instant(arrival, dst_host, m.dst, "msg", "msg.drop",
+                        {"tag", static_cast<double>(m.tag)},
+                        {"src", static_cast<double>(m.src)});
       }
       return;
     }
@@ -64,12 +81,11 @@ void Network::post(Message m, int src_host, Process& dst, int dst_host) {
 
   Process* target = &dst;
   if (duplicate) {
-    ++duplicated_;
-    if (sink_) {
-      sink_->net_count(TraceSink::NetCounter::kMessagesDuplicated, 1);
-      sink_->instant(arrival + cfg_.latency, dst_host, m.dst, "msg",
-                     "msg.dup", {"tag", static_cast<double>(m.tag)},
-                     {"src", static_cast<double>(m.src)});
+    if (trace_) {
+      duplicated_->inc();
+      trace_->instant(arrival + cfg_.latency, dst_host, m.dst, "msg",
+                      "msg.dup", {"tag", static_cast<double>(m.tag)},
+                      {"src", static_cast<double>(m.src)});
     }
     // The copy trails the original by one wire latency (a NIC-level
     // retransmit artefact); it does not occupy the link again.
@@ -77,11 +93,11 @@ void Network::post(Message m, int src_host, Process& dst, int dst_host) {
       target->mailbox().push(std::move(msg));
     });
   }
-  if (sink_) {
-    sink_->instant(arrival, dst_host, m.dst, "msg", "msg.deliver",
-                   {"tag", static_cast<double>(m.tag)},
-                   {"src", static_cast<double>(m.src)},
-                   {"bytes", static_cast<double>(m.payload.size())});
+  if (trace_) {
+    trace_->instant(arrival, dst_host, m.dst, "msg", "msg.deliver",
+                    {"tag", static_cast<double>(m.tag)},
+                    {"src", static_cast<double>(m.src)},
+                    {"bytes", static_cast<double>(m.payload.size())});
   }
   eng_.schedule_at(arrival, [target, msg = std::move(m)]() mutable {
     target->mailbox().push(std::move(msg));

@@ -12,14 +12,18 @@
 // fault-free run dispatches the exact same event sequence as before.
 #pragma once
 
-#include <cstdint>
 #include <map>
 
+#include "obs/attach.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
 #include "sim/message.hpp"
-#include "sim/sink.hpp"
 #include "util/rng.hpp"
+
+namespace nowlb::obs {
+class Counter;
+class TraceBus;
+}  // namespace nowlb::obs
 
 namespace nowlb::sim {
 
@@ -30,33 +34,34 @@ class Network {
   Network(Engine& eng, NetConfig cfg)
       : eng_(eng), cfg_(cfg), fault_rng_(cfg.fault_seed) {}
 
-  /// Attach a trace sink (may be null; must outlive the run). Emits
-  /// msg.send/deliver/drop/dup instants and sim_* counters through it. Pure
-  /// observation: no clock or RNG effect, traces stay bit-identical.
-  void set_sink(TraceSink* sink) { sink_ = sink; }
-
   /// Enqueue `m` for delivery from src_host to dst (on dst_host) starting
   /// at the current virtual time.
   void post(Message m, int src_host, Process& dst, int dst_host);
 
-  /// Messages transmitted but lost before delivery (fault injection).
-  std::uint64_t messages_dropped() const { return dropped_; }
-  /// Extra copies delivered by duplication faults.
-  std::uint64_t messages_duplicated() const { return duplicated_; }
-
  private:
+  friend void obs::attach(sim::World& w, obs::Observability* hub);
+
   bool fault_eligible(const Message& m, int src_host, int dst_host) const;
+
+  /// Record into `hub` (null: record nothing): msg.send/deliver/drop/dup
+  /// instants on its trace bus and the sim_messages_* and
+  /// sim_payload_bytes counters, resolved here once. Pure observation: no
+  /// clock or RNG effect, traces stay bit-identical.
+  void record_into(obs::Observability* hub);
 
   Engine& eng_;
   NetConfig cfg_;
   Rng fault_rng_;
-  TraceSink* sink_ = nullptr;
+  // The attached hub's trace bus and counters; all null without a hub.
+  obs::TraceBus* trace_ = nullptr;
+  obs::Counter* sent_ = nullptr;
+  obs::Counter* bytes_ = nullptr;
+  obs::Counter* dropped_ = nullptr;
+  obs::Counter* duplicated_ = nullptr;
   // Keyed lookups only (never iterated), but an ordered map keeps the
   // container off nowlb-lint's D003 unordered ban with nothing to justify:
   // host counts are small enough that the tree vs. hash cost is noise.
   std::map<int, Time> link_busy_until_;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t duplicated_ = 0;
 };
 
 }  // namespace nowlb::sim

@@ -1,29 +1,20 @@
-// Virtual time for the discrete-event simulator.
+// sim::Time — re-export of virtual time.
 //
-// Integer nanoseconds keep event ordering exact and runs bit-reproducible;
-// doubles appear only at the API edges (reports, configuration).
+// The definitions live in util/time.hpp (the flight recorder below sim
+// stamps events with them); simulation code keeps spelling them sim::Time,
+// sim::kSecond, sim::to_seconds and so on.
 #pragma once
 
-#include <cstdint>
+#include "util/time.hpp"
 
 namespace nowlb::sim {
 
-/// Virtual time / duration in nanoseconds.
-using Time = std::int64_t;
-
-inline constexpr Time kNanosecond = 1;
-inline constexpr Time kMicrosecond = 1'000;
-inline constexpr Time kMillisecond = 1'000'000;
-inline constexpr Time kSecond = 1'000'000'000;
-
-/// Convert seconds (double) to Time, rounding to nearest nanosecond.
-constexpr Time from_seconds(double s) {
-  return static_cast<Time>(s * static_cast<double>(kSecond) + (s >= 0 ? 0.5 : -0.5));
-}
-
-/// Convert Time to seconds.
-constexpr double to_seconds(Time t) {
-  return static_cast<double>(t) / static_cast<double>(kSecond);
-}
+using nowlb::from_seconds;
+using nowlb::kMicrosecond;
+using nowlb::kMillisecond;
+using nowlb::kNanosecond;
+using nowlb::kSecond;
+using nowlb::Time;
+using nowlb::to_seconds;
 
 }  // namespace nowlb::sim

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -102,26 +103,13 @@ World::~World() {
   if (owns_log_clock_) Log::clear_time_source(this);
 }
 
-void World::set_sink(std::unique_ptr<TraceSink> sink) {
-  sink_ = std::move(sink);
-  network_.set_sink(sink_.get());
-  if (sink_) {
-    for (const auto& h : hosts_) {
-      sink_->name_host(h->id(), "host" + std::to_string(h->id()));
-    }
-    for (const auto& p : processes_) {
-      sink_->name_lane(p->host().id(), p->pid(), p->name());
-    }
-  }
-}
-
 Host& World::add_host() {
   hosts_.push_back(
       std::make_unique<Host>(engine_, static_cast<int>(hosts_.size()),
                              cfg_.host));
-  if (sink_) {
-    sink_->name_host(hosts_.back()->id(),
-                     "host" + std::to_string(hosts_.back()->id()));
+  if (obs_) {
+    obs_->trace.name_host(hosts_.back()->id(),
+                          "host" + std::to_string(hosts_.back()->id()));
   }
   return *hosts_.back();
 }
@@ -140,10 +128,10 @@ Pid World::spawn(Host& host, std::string name, ProcessBody body,
   Process* raw = proc.get();
   processes_.push_back(std::move(proc));
   engine_.schedule_at(engine_.now(), [raw] { raw->start(); });
-  if (sink_) {
-    sink_->name_lane(host.id(), pid, raw->name());
-    sink_->instant(engine_.now(), host.id(), pid, "proc", "proc.spawn",
-                   {"essential", essential ? 1.0 : 0.0});
+  if (obs_) {
+    obs_->trace.name_lane(host.id(), pid, raw->name());
+    obs_->trace.instant(engine_.now(), host.id(), pid, "proc", "proc.spawn",
+                        {"essential", essential ? 1.0 : 0.0});
   }
   return pid;
 }
@@ -154,9 +142,9 @@ Time World::cpu_used(Pid pid) const {
 }
 
 void World::on_process_done(Process& p) {
-  if (sink_) {
-    sink_->instant(engine_.now(), p.host().id(), p.pid(), "proc",
-                   "proc.done", {"error", p.error() ? 1.0 : 0.0});
+  if (obs_) {
+    obs_->trace.instant(engine_.now(), p.host().id(), p.pid(), "proc",
+                        "proc.done", {"error", p.error() ? 1.0 : 0.0});
   }
   if (p.error()) {
     NOWLB_LOG(Error, "sim") << "process " << p.name() << " failed";
@@ -189,8 +177,9 @@ void World::kill(Pid pid) {
   Process& p = *processes_.at(pid);
   if (p.killed_ || p.finished_) return;
   p.killed_ = true;
-  if (sink_) {
-    sink_->instant(engine_.now(), p.host_.id(), pid, "proc", "proc.kill");
+  if (obs_) {
+    obs_->trace.instant(engine_.now(), p.host_.id(), pid, "proc",
+                        "proc.kill");
   }
   NOWLB_LOG(Info, "sim") << "process " << p.name() << " killed at t="
                          << to_seconds(engine_.now()) << "s";
@@ -209,12 +198,28 @@ void World::kill(Pid pid) {
 
 void World::run() {
   engine_.run();
-  if (sink_) {
-    sink_->run_stats(to_seconds(engine_.now()),
-                     engine_.dispatched_events());
+  if (obs_) {
+    obs_->metrics
+        .gauge("sim_virtual_time_seconds", "Virtual clock at end of run")
+        .set(to_seconds(engine_.now()));
+    obs_->metrics.gauge("sim_events_dispatched", "Engine events dispatched")
+        .set(static_cast<double>(engine_.dispatched_events()));
   }
 }
 
 void World::run_until(Time t) { engine_.run_until(t); }
 
 }  // namespace nowlb::sim
+
+namespace nowlb::obs {
+
+// Defined with the world it wires up: obs sits below sim and includes none
+// of it. Callers attach before the first host exists, so every host and
+// process name reaches the trace bus as it is created.
+void attach(sim::World& w, Observability* hub) {
+  NOWLB_CHECK(w.hosts_.empty(), "attach the hub before adding hosts");
+  w.obs_ = hub;
+  w.network_.record_into(hub);
+}
+
+}  // namespace nowlb::obs

@@ -17,19 +17,15 @@
 #include <string>
 #include <vector>
 
+#include "obs/attach.hpp"
 #include "sim/config.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 #include "sim/host.hpp"
 #include "sim/network.hpp"
 #include "sim/process.hpp"
-#include "sim/sink.hpp"
 #include "sim/task.hpp"
 #include "util/rng.hpp"
-
-namespace nowlb::obs {
-struct Observability;
-}  // namespace nowlb::obs
 
 namespace nowlb::sim {
 
@@ -48,19 +44,9 @@ class World {
   Network& network() { return network_; }
   Time now() const { return engine_.now(); }
 
-  /// Attach a trace sink (owned; replaced on re-attach, null detaches).
-  /// The world forwards it to the network and stamps process lifecycle
-  /// events through it. Attaching is pure observation — the event schedule
-  /// and trace_hash() are bit-identical either way. Use obs::attach() to
-  /// wire up a full flight-recorder hub; sim itself never sees obs types.
-  void set_sink(std::unique_ptr<TraceSink> sink);
-  TraceSink* sink() const { return sink_.get(); }
-
-  /// Opaque handle to the attached flight-recorder hub. The world stores
-  /// it for the protocol layers (lb's recorder finds it via obs()); sim
-  /// code never dereferences it — all sim-side recording goes through the
-  /// TraceSink.
-  void set_obs_handle(obs::Observability* o) { obs_ = o; }
+  /// The flight-recorder hub obs::attach() set, or null. The world and
+  /// its network record process lifecycle and message events into it;
+  /// lb's recorder finds it here.
   obs::Observability* obs() const { return obs_; }
 
   /// Create a new host (workstation). Hosts are identified by index.
@@ -108,11 +94,12 @@ class World {
   void on_process_done(Process& p);
 
  private:
+  friend void obs::attach(sim::World& w, obs::Observability* hub);
+
   WorldConfig cfg_;
   Engine engine_;
   Network network_;
-  std::unique_ptr<TraceSink> sink_;
-  obs::Observability* obs_ = nullptr;  // opaque; never dereferenced by sim
+  obs::Observability* obs_ = nullptr;
   bool owns_log_clock_ = false;
   Rng rng_;
   std::vector<std::unique_ptr<Host>> hosts_;

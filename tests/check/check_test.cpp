@@ -220,21 +220,24 @@ TEST(Scenario, WrongRoundFaultIsDetected) {
 }
 
 // A simulated process that throws ends the run as a `process` failure; it
-// must not escape run_scenario, and the run is no watchdog timeout. LU has
-// no inventory/adopt, so its agents refuse a heartbeat regime by throwing.
+// must not escape run_scenario, and it is the run's only failure: no
+// watchdog timeout, and no end-of-run check of the slices it left behind.
+// LU has no inventory/adopt, so its agents refuse a heartbeat regime by
+// throwing.
 TEST(Scenario, ProcessExceptionIsRecordedAsFailure) {
   Scenario sc = generate_scenario(3, App::kLu);
   sc.lb.transport.enabled = true;
   sc.lb.heartbeat_timeout = sim::kSecond;
   const FuzzResult res = run_scenario(sc);
-  ASSERT_FALSE(res.ok);
+  ASSERT_EQ(res.failures.size(), 1u) << sc.describe();
   EXPECT_EQ(res.failures.front().checker, "process");
-  for (const Failure& f : res.failures) EXPECT_NE(f.checker, "termination");
 }
 
 // A run that misses its time bound fails `termination`, and the failure
-// names where every slave last blocked or hooked (its probe). Six stops of
+// names where every slave last blocked or hooked (its probe). Seven stops of
 // SOR and LU scenarios cover every probe state but LU's brief `finalize`.
+// The failure is the only one: the SOR seed 2 stop cuts a transfer in
+// flight, which the end-of-run checks of a finished run would count lost.
 TEST(Scenario, TimeoutNamesEveryRanksProbe) {
   struct Stop {
     App app;
@@ -260,6 +263,10 @@ TEST(Scenario, TimeoutNamesEveryRanksProbe) {
        running7 + "0.330200" + slaves6 +
            " [0] sweepstart sweep=1 [1] drained [2] drained [3] sweepstart"
            " sweep=1 [4] drain sweep=0 [5] drain sweep=0"},
+      {App::kSor, 2, 514'700'000,
+       "5 essential process(es) still running at the 0.514700s time bound:"
+       " slave0, slave1, slave2, slave3, master | probes: [0] drain sweep=1"
+       " [1] sweepstart sweep=1 [2] drain sweep=0 [3] drain sweep=0"},
       {App::kSor, 3, 2'700'000,
        running7 + "0.002700" + slaves6 +
            " [0] hook strip=3 [1] ghost sweep=0 strip=0 col=5 [2] ghost"

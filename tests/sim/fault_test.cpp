@@ -2,13 +2,23 @@
 // crash faults via World::kill, and the deadline receive they build on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "obs/attach.hpp"
+#include "obs/obs.hpp"
 #include "sim/world.hpp"
 
 namespace nowlb::sim {
 namespace {
+
+/// A network counter of an attached hub (attach registers all four).
+std::uint64_t count(const obs::Observability& hub, const char* name) {
+  const obs::Counter* c = hub.metrics.find_counter(name);
+  EXPECT_NE(c, nullptr) << name;
+  return c != nullptr ? c->value() : 0;
+}
 
 WorldConfig lossy_base() {
   WorldConfig cfg;
@@ -25,7 +35,9 @@ TEST(FaultNet, DefaultConfigInjectsNothing) {
   const NetConfig def;
   EXPECT_FALSE(def.faulty());
 
+  obs::Observability hub;
   World w(lossy_base());
+  obs::attach(w, &hub);
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
   Pid rx = w.spawn(h1, "rx", [&](Context& ctx) -> Task<> {
@@ -35,14 +47,16 @@ TEST(FaultNet, DefaultConfigInjectsNothing) {
     for (int i = 0; i < 4; ++i) co_await ctx.send(rx, 7, Bytes(8));
   });
   w.run();
-  EXPECT_EQ(w.network().messages_dropped(), 0u);
-  EXPECT_EQ(w.network().messages_duplicated(), 0u);
+  EXPECT_EQ(count(hub, "sim_messages_dropped"), 0u);
+  EXPECT_EQ(count(hub, "sim_messages_duplicated"), 0u);
 }
 
 TEST(FaultNet, DropLosesTheMessageAndCountsIt) {
   WorldConfig cfg = lossy_base();
   cfg.net.drop_prob = 1.0;
+  obs::Observability hub;
   World w(cfg);
+  obs::attach(w, &hub);
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
   bool got = false;
@@ -55,7 +69,7 @@ TEST(FaultNet, DropLosesTheMessageAndCountsIt) {
   });
   w.run();
   EXPECT_FALSE(got);
-  EXPECT_EQ(w.network().messages_dropped(), 1u);
+  EXPECT_EQ(count(hub, "sim_messages_dropped"), 1u);
 }
 
 TEST(FaultNet, TagRangeGatesInjection) {
@@ -63,7 +77,9 @@ TEST(FaultNet, TagRangeGatesInjection) {
   cfg.net.drop_prob = 1.0;
   cfg.net.fault_tag_lo = 100;  // tag 7 is outside the faulty range
   cfg.net.fault_tag_hi = 200;
+  obs::Observability hub;
   World w(cfg);
+  obs::attach(w, &hub);
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
   bool got = false;
@@ -76,13 +92,15 @@ TEST(FaultNet, TagRangeGatesInjection) {
   });
   w.run();
   EXPECT_TRUE(got);
-  EXPECT_EQ(w.network().messages_dropped(), 0u);
+  EXPECT_EQ(count(hub, "sim_messages_dropped"), 0u);
 }
 
 TEST(FaultNet, DuplicationDeliversASecondCopy) {
   WorldConfig cfg = lossy_base();
   cfg.net.dup_prob = 1.0;
+  obs::Observability hub;
   World w(cfg);
+  obs::attach(w, &hub);
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
   int copies = 0;
@@ -94,7 +112,7 @@ TEST(FaultNet, DuplicationDeliversASecondCopy) {
   });
   w.run();
   EXPECT_EQ(copies, 2);
-  EXPECT_EQ(w.network().messages_duplicated(), 1u);
+  EXPECT_EQ(count(hub, "sim_messages_duplicated"), 1u);
 }
 
 // A duplicate is a deep copy: a payload's segments arrive twice, with equal
