@@ -3,11 +3,10 @@
 
 Usage:
   bench_compare.py --baseline OLD.json --current NEW.json [--threshold 0.15]
-  bench_compare.py --current NEW.json            # baseline = latest BENCH_*
   bench_compare.py --self-test                   # exercise the comparator
 
-The baseline defaults to the lexicographically newest BENCH_*.json at the
-repository root (the dated filenames sort chronologically). A benchmark
+Both reports should come from one host, e.g. the base commit's and the
+change's `nowlb-bench --quick` runs on one CI runner. A benchmark
 regresses when its median moves against its direction by more than
 --threshold (default 15%): below baseline*(1-t) for throughput benchmarks
 (higher_is_better), above baseline*(1+t) for wall-time benchmarks. To stay
@@ -17,16 +16,14 @@ threshold: a genuine regression shifts the whole distribution, noise
 spikes do not.
 
 Benchmarks present in the baseline but missing from the current report are
-regressions too — the trajectory must not silently lose coverage. New
+regressions too — the gate must not silently lose coverage. New
 benchmarks in the current report are reported but never fail.
 
 Exit status: 0 clean, 1 regression(s), 2 usage/schema error.
 """
 
 import argparse
-import glob
 import json
-import os
 import sys
 
 EXPECTED_SCHEMA = 1
@@ -55,13 +52,6 @@ def load_report(path):
         )
         sys.exit(2)
     return report
-
-
-def latest_baseline(root):
-    candidates = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
-    if not candidates:
-        sys.exit(f"bench_compare: no BENCH_*.json under {root}")
-    return candidates[-1]
 
 
 def compare(baseline, current, threshold):
@@ -113,10 +103,9 @@ def compare(baseline, current, threshold):
 
 
 def run_compare(args):
-    baseline_path = args.baseline or latest_baseline(args.root)
-    baseline = load_report(baseline_path)
+    baseline = load_report(args.baseline)
     current = load_report(args.current)
-    print(f"bench_compare: {baseline_path} -> {args.current} "
+    print(f"bench_compare: {args.baseline} -> {args.current} "
           f"(threshold {args.threshold:.0%})")
     regressions, lines = compare(baseline, current, args.threshold)
     print("\n".join(lines))
@@ -205,21 +194,17 @@ def self_test():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", help="baseline report (default: latest "
-                    "BENCH_*.json under --root)")
+    ap.add_argument("--baseline", help="baseline report")
     ap.add_argument("--current", help="report to check")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="allowed relative median drift (default 0.15)")
-    ap.add_argument("--root", default=os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))),
-        help="repository root to search for BENCH_*.json")
     ap.add_argument("--self-test", action="store_true",
                     help="run the comparator's own unit checks and exit")
     args = ap.parse_args()
     if args.self_test:
         sys.exit(self_test())
-    if not args.current:
-        ap.error("--current is required (or use --self-test)")
+    if not (args.baseline and args.current):
+        ap.error("--baseline and --current are required (or use --self-test)")
     sys.exit(run_compare(args))
 
 

@@ -47,7 +47,7 @@ struct Finding {
   std::string message;
 };
 
-/// The repo's layering, module -> rank: util < msg < sim < obs < data <
+/// The repo's layering, module -> rank: util < msg < obs < sim < data <
 /// lb < load/loop < apps < exp/check < analyze/perf (see DESIGN.md §11).
 /// Includes may only point at strictly lower ranks, or stay within the
 /// module. Unlisted modules are not checked.

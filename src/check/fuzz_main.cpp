@@ -75,8 +75,9 @@ bool parse_level(const std::string& name, nowlb::LogLevel* out) {
   return true;
 }
 
-/// `--log=debug` sets the global level; `--log=transport=debug,lb=info`
-/// raises individual components. Tokens combine: `debug,transport=trace`.
+/// `--log=debug` sets the global level; `--log=lb.transport=debug,lb=info`
+/// raises individual components, named exactly as they log. Tokens
+/// combine: `debug,lb.transport=trace`.
 bool apply_log_flag(const std::string& flag) {
   std::size_t pos = 0;
   while (pos <= flag.size()) {

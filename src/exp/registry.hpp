@@ -1,7 +1,7 @@
 // The experiment registry: every run EXPERIMENTS.md reports, declared as
-// data. nowlb-experiments prints the tables from it, and nowlb-bench's
-// figure group and the determinism goldens run the figures listed in
-// figures().
+// data. nowlb-experiments prints the tables from it, nowlb-inspect records
+// a point of any figure listed in figures(), and the determinism goldens
+// run each of those figures on 4 slaves.
 #pragma once
 
 #include <vector>

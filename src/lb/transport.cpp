@@ -68,7 +68,6 @@ sim::Task<> Transport::send(sim::Pid dst, sim::Tag tag,
   co_await ctx_.compute(ctx_.world().config().msg.send_overhead);
   Pending& p = pending_[k][seq];
   p.payload = std::move(payload);
-  ++stats_.sent;
   events_.emit(TransportEvent{.kind = TransportEvent::kSent});
   post_raw(std::move(m));
   arm_timer(k, seq);
@@ -98,7 +97,6 @@ void Transport::send_ack(sim::Pid dst, sim::Tag tag, std::uint32_t seq) {
   ack.dst = dst;
   ack.tag = kTagAck;
   ack.payload = msg::encode(Ack{tag, seq});
-  ++stats_.acks_sent;
   events_.emit(TransportEvent{
       .kind = TransportEvent::kAck, .peer = dst, .tag = tag, .seq = seq});
   // Acks are NIC-level: no software overhead, fired straight from the
@@ -131,7 +129,6 @@ void Transport::on_timeout(Key k, std::uint32_t seq) {
   }
   Pending& p = jt->second;
   if (p.attempts >= kMaxRetries) {
-    ++stats_.gave_up;
     events_.emit(TransportEvent{.kind = TransportEvent::kGaveUp,
                                 .peer = k.peer,
                                 .tag = k.tag,
@@ -143,7 +140,6 @@ void Transport::on_timeout(Key k, std::uint32_t seq) {
     return;
   }
   ++p.attempts;
-  ++stats_.retransmits;
   events_.emit(TransportEvent{.kind = TransportEvent::kRetransmit,
                               .peer = k.peer,
                               .tag = k.tag,
@@ -169,7 +165,6 @@ bool Transport::on_message(sim::Message& m) {
   }
   if (!reliable(m.tag)) return false;
   if (blackholed(m.src)) {
-    ++stats_.swallowed_from_dead;
     events_.emit(
         TransportEvent{.kind = TransportEvent::kSwallowed, .peer = m.src});
     return true;
@@ -181,7 +176,6 @@ bool Transport::on_message(sim::Message& m) {
   const Key k{m.src, m.tag};
   std::uint32_t& expect = next_recv_seq_[k];
   if (seq < expect) {
-    ++stats_.dups_suppressed;
     events_.emit(TransportEvent{.kind = TransportEvent::kDuplicate});
     return true;
   }
@@ -193,10 +187,8 @@ bool Transport::on_message(sim::Message& m) {
   if (seq > expect) {
     // Gap: hold until the missing predecessors arrive (retransmission).
     if (held_[k].emplace(seq, std::move(stripped)).second) {
-      ++stats_.held_reordered;
       events_.emit(TransportEvent{.kind = TransportEvent::kHeld});
     } else {
-      ++stats_.dups_suppressed;
       events_.emit(TransportEvent{.kind = TransportEvent::kDuplicate});
     }
     return true;

@@ -31,16 +31,6 @@
 
 namespace nowlb::lb {
 
-struct TransportStats {
-  std::uint64_t sent = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t dups_suppressed = 0;
-  std::uint64_t held_reordered = 0;
-  std::uint64_t gave_up = 0;
-  std::uint64_t swallowed_from_dead = 0;
-};
-
 class Transport {
  public:
   /// Installs the mailbox tap (when enabled). `reliable_tags` is the set
@@ -67,8 +57,6 @@ class Transport {
   /// otherwise be lost forever and strand its receiver.
   sim::Task<> drain();
   bool has_pending() const;
-
-  const TransportStats& stats() const { return stats_; }
 
  private:
   /// A per-direction channel is identified by (peer pid, message tag).
@@ -132,7 +120,6 @@ class Transport {
   std::map<Key, std::uint32_t> next_recv_seq_;
   std::map<Key, std::map<std::uint32_t, sim::Message>> held_;
   std::set<sim::Pid> dead_;
-  TransportStats stats_;
 };
 
 }  // namespace nowlb::lb

@@ -44,7 +44,6 @@ std::vector<BenchResult> Suite::run(const BenchOptions& opt,
   for (std::size_t i = 0; i < selected.size(); ++i) {
     BenchResult& r = out[i];
     r.name = selected[i]->name;
-    r.group = selected[i]->group;
     r.unit = selected[i]->unit;
     r.higher_is_better = selected[i]->higher_is_better;
     r.reps = opt.effective_reps();

@@ -7,7 +7,8 @@
 //
 // The simulated workload inside a sample is bit-identical from rep to rep
 // (fixed seeds, virtual time); only the host's wall time varies. That is
-// what makes the BENCH_*.json trajectory comparable across commits.
+// what makes two BENCH_*.json reports, the base commit's and a change's,
+// comparable.
 #pragma once
 
 #include <cstdint>
@@ -32,14 +33,13 @@ struct BenchOptions {
 
 struct BenchResult {
   std::string name;
-  std::string group;  // "micro" | "figure" | "fuzz"
-  std::string unit;   // "events/s", "msgs/s", "s", ...
+  std::string unit;  // "events/s", "msgs/s", "x", ...
   bool higher_is_better = true;
   int reps = 0;
   int warmup = 0;
   std::vector<double> samples;  // one per timed repetition, in run order
-  /// Auxiliary deterministic facts about the workload (virtual elapsed
-  /// time, lb rounds from the decision ledger, units moved, ...).
+  /// Auxiliary deterministic facts about the workload (event counts,
+  /// trace-hash bits, recorder sizes, ...).
   std::map<std::string, double> extra;
 
   double median() const;
@@ -50,7 +50,6 @@ struct BenchResult {
 
 struct Benchmark {
   std::string name;
-  std::string group;
   std::string unit;
   bool higher_is_better = true;
   /// One repetition; returns the sample. May fill `extra` (kept from the
@@ -74,8 +73,8 @@ class Suite {
   std::vector<Benchmark> benchmarks_;
 };
 
-/// The full nowlb suite: engine/transport/serialization micro benchmarks,
-/// fig5-fig9 macro wall times, and fuzz scenario classes.
+/// The nowlb suite: engine, transport, serialization, slice-store and
+/// flight-recorder micro benchmarks.
 Suite default_suite();
 
 /// The `data.column_move` micro: columns/s through a SOR-shaped move. It

@@ -1,11 +1,10 @@
-// nowlb-bench: the repo's perf harness (DESIGN.md §12).
+// nowlb-bench: the repo's micro-benchmark harness (DESIGN.md §12).
 //
 //   nowlb-bench                      # full run, writes BENCH_<date>.json
 //   nowlb-bench --quick              # CI mode: fewer reps, same workloads
 //   nowlb-bench --filter=engine      # subset by substring
 //   nowlb-bench --out=FILE           # report path override
 //   nowlb-bench --list               # print benchmark names and exit
-//   nowlb-bench --hashes             # print determinism fingerprints
 //
 // Compare two reports with scripts/bench_compare.py.
 #include <fstream>
@@ -13,44 +12,19 @@
 
 #include "perf/bench.hpp"
 #include "perf/report.hpp"
-#include "perf/scenarios.hpp"
 #include "perf/wallclock.hpp"
 #include "util/cli.hpp"
 
 using namespace nowlb;
 
-namespace {
-
-/// Golden-fingerprint table for tests/perf/determinism_test.cpp: run every
-/// figure scenario and fuzz case once and print hash/output constants.
-int print_hashes() {
-  std::cout << std::hex;
-  for (const auto& fig : perf::figure_scenarios()) {
-    const auto r = fig.run(/*with_obs=*/false);
-    std::cout << "{\"" << fig.name << "\", 0x" << r.trace_hash << "ull, "
-              << std::dec << r.dispatched_events << std::hex << "},\n";
-    std::cout << "//   " << r.summary << "\n";
-  }
-  for (const auto& fc : perf::fuzz_cases()) {
-    const auto r = perf::run_fuzz_case(fc, /*with_obs=*/false);
-    std::cout << "{\"" << fc.name << "\", 0x" << r.trace_hash << "ull},"
-              << (r.ok ? "" : "  // NOT OK") << "\n";
-  }
-  std::cout << std::dec;
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const Cli cli(argc, argv, {"hashes", "list", "quick", "reps", "warmup",
-                             "filter", "label", "out"});
-  if (cli.get_bool("hashes", false)) return print_hashes();
+  const Cli cli(argc, argv,
+                {"list", "quick", "reps", "warmup", "filter", "label", "out"});
 
   perf::Suite suite = perf::default_suite();
   if (cli.get_bool("list", false)) {
     for (const auto& b : suite.benchmarks()) {
-      std::cout << b.name << " (" << b.group << ", " << b.unit << ")\n";
+      std::cout << b.name << " (" << b.unit << ")\n";
     }
     return 0;
   }

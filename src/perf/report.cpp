@@ -24,8 +24,6 @@ std::string to_json(const ReportMeta& meta,
     const BenchResult& r = results[i];
     os << "    {\n      \"name\": ";
     write_json_string(os, r.name);
-    os << ",\n      \"group\": ";
-    write_json_string(os, r.group);
     os << ",\n      \"unit\": ";
     write_json_string(os, r.unit);
     os << ",\n      \"higher_is_better\": "

@@ -1,20 +1,17 @@
-// The nowlb benchmark suite: what BENCH_*.json tracks.
+// The nowlb benchmark suite: the micro benchmarks BENCH_*.json reports.
 //
-// micro/  — events/sec through the discrete-event core (priority-queue
-//           drain, timer schedule/cancel churn), messages/sec through the
-//           reliable transport (clean and lossy links), the two
-//           serialization hot paths (protocol framing, slice pack/unpack),
-//           a SOR-shaped column move, and SOR's strip loop over the slice
-//           store.
-// figure/ — host wall time per exp::figures() entry (fig5-fig9 at paper
-//           size, 4 slaves, balancing on), run bare: no recorder.
-// fuzz/   — host wall time per fuzz scenario class.
+// Events/sec through the discrete-event core (priority-queue drain, timer
+// schedule/cancel churn), messages/sec through the reliable transport
+// (clean and lossy links), the two serialization hot paths (protocol
+// framing, slice pack/unpack), a SOR-shaped column move, SOR's strip loop
+// over the slice store, and the flight recorder's tax on a reduced MM run.
+// Whole figure runs and fuzz scenarios are timed end to end by perfbench
+// (perfbench/README.md).
 //
 // Every workload is seeded and virtual-time driven, so the work per sample
 // is bit-identical across repetitions and commits; only host speed varies.
-// Workload sizes are the same in --quick mode (it only cuts reps/warmup):
-// a quick run must measure the same quantity as the full-run committed
-// baseline it is compared against, or the comparison is biased.
+// Workload sizes are the same in --quick mode (it only cuts reps/warmup),
+// so a quick report measures the same quantities as a full one.
 #include <utility>
 #include <vector>
 
@@ -24,7 +21,6 @@
 #include "lb/transport.hpp"
 #include "msg/serialize.hpp"
 #include "perf/bench.hpp"
-#include "perf/scenarios.hpp"
 #include "perf/wallclock.hpp"
 #include "sim/engine.hpp"
 #include "sim/world.hpp"
@@ -125,7 +121,6 @@ double transport_pump(const BenchOptions&, bool lossy,
   sim::World w(transport_world(lossy));
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
-  std::uint64_t retransmits = 0;
   sim::Pid rx = w.spawn(h1, "rx", [&](sim::Context& ctx) -> sim::Task<> {
     lb::Transport t(ctx, tc, {kData}, nullptr);
     for (int i = 0; i < count; ++i) co_await ctx.recv(kData);
@@ -137,14 +132,12 @@ double transport_pump(const BenchOptions&, bool lossy,
       co_await t.send(rx, kData, sim::Bytes(64));
     }
     co_await t.drain();
-    retransmits = t.stats().retransmits;
     co_await ctx.send(rx, kBye, sim::Bytes(0));
   });
   const double t0 = wall_seconds();
   w.run();
   const double dt = wall_seconds() - t0;
   extra["messages"] = count;
-  extra["retransmits"] = static_cast<double>(retransmits);
   extra["trace_hash"] = static_cast<double>(w.engine().trace_hash() >> 32);
   return count / dt;
 }
@@ -290,51 +283,21 @@ double obs_overhead(const BenchOptions&,
 
 Suite default_suite() {
   Suite s;
-  s.add({"engine.drain", "micro", "events/s", true, engine_drain});
-  s.add({"engine.timer_churn", "micro", "ops/s", true, engine_timer_churn});
-  s.add({"transport.clean", "micro", "msgs/s", true,
+  s.add({"engine.drain", "events/s", true, engine_drain});
+  s.add({"engine.timer_churn", "ops/s", true, engine_timer_churn});
+  s.add({"transport.clean", "msgs/s", true,
          [](const BenchOptions& o, std::map<std::string, double>& e) {
            return transport_pump(o, /*lossy=*/false, e);
          }});
-  s.add({"transport.lossy", "micro", "msgs/s", true,
+  s.add({"transport.lossy", "msgs/s", true,
          [](const BenchOptions& o, std::map<std::string, double>& e) {
            return transport_pump(o, /*lossy=*/true, e);
          }});
-  s.add({"msg.protocol_roundtrip", "micro", "rounds/s", true,
-         protocol_roundtrip});
-  s.add({"data.slice_pack_unpack", "micro", "slices/s", true,
-         slice_pack_unpack});
-  s.add({"data.column_move", "micro", "columns/s", true, column_move});
-  s.add({"data.sor_strip", "micro", "strips/s", true, sor_strip});
-  s.add({"obs.overhead", "micro", "x", false, obs_overhead});
-
-  for (const FigureScenario& fig : figure_scenarios()) {
-    s.add({fig.name, "figure", "s", false,
-           [&fig](const BenchOptions&, std::map<std::string, double>& e) {
-             const double t0 = wall_seconds();
-             const FigureRun r = fig.run(/*with_obs=*/false);
-             const double dt = wall_seconds() - t0;
-             e["virtual_elapsed_s"] = r.elapsed_virtual_s;
-             e["lb.rounds"] = r.lb_rounds;
-             e["lb.units_moved"] = r.units_moved;
-             e["events"] = static_cast<double>(r.dispatched_events);
-             e["trace_hash_hi"] = static_cast<double>(r.trace_hash >> 32);
-             return dt;
-           }});
-  }
-
-  for (const FuzzCase& fc : fuzz_cases()) {
-    s.add({fc.name, "fuzz", "s", false,
-           [&fc](const BenchOptions&, std::map<std::string, double>& e) {
-             const double t0 = wall_seconds();
-             const auto r = run_fuzz_case(fc, /*with_obs=*/false);
-             const double dt = wall_seconds() - t0;
-             e["ok"] = r.ok ? 1 : 0;
-             e["virtual_elapsed_s"] = r.elapsed_s;
-             e["trace_hash_hi"] = static_cast<double>(r.trace_hash >> 32);
-             return dt;
-           }});
-  }
+  s.add({"msg.protocol_roundtrip", "rounds/s", true, protocol_roundtrip});
+  s.add({"data.slice_pack_unpack", "slices/s", true, slice_pack_unpack});
+  s.add({"data.column_move", "columns/s", true, column_move});
+  s.add({"data.sor_strip", "strips/s", true, sor_strip});
+  s.add({"obs.overhead", "x", false, obs_overhead});
   return s;
 }
 

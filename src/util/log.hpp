@@ -3,8 +3,8 @@
 // Experiments run thousands of simulated seconds; logging defaults to Warn so
 // benches stay quiet, and tests can raise verbosity per component:
 //
-//   Log::set_level(LogLevel::Warn);            // global floor
-//   Log::set_level("transport", LogLevel::Debug);  // one component verbose
+//   Log::set_level(LogLevel::Warn);                   // global floor
+//   Log::set_level("lb.transport", LogLevel::Debug);  // one component verbose
 //
 // When a simulation is running, the owning World installs a time source and
 // every line gains a `[t=12.345678s]` simulated-time prefix, so fault-sweep
@@ -26,9 +26,10 @@ class Log {
   static LogLevel level() { return level_; }
   static void set_level(LogLevel l) { level_ = l; }
 
-  /// Per-component override: `set_level("transport", Debug)` makes that
-  /// component verbose regardless of the global level. Pass an empty map
-  /// away with clear_component_levels().
+  /// Per-component override: `set_level("lb.transport", Debug)` makes that
+  /// component verbose regardless of the global level. A component matches
+  /// by its exact name: "lb" does not cover "lb.transport".
+  /// clear_component_levels() drops every override.
   static void set_level(const std::string& component, LogLevel l);
   static void clear_component_levels();
 

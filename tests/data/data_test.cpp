@@ -32,6 +32,12 @@ void expect_fault(F f, const std::string& fault) {
 
 // ------------------------------------------------------------- BlockMap
 
+// A failed check names its source file relative to src/, whichever
+// directory the checkout sits in.
+TEST(BlockMap, FailedCheckNamesItsFileFromSrc) {
+  expect_fault([] { (void)BlockMap::even(4, 0); }, " at data/slice.cpp:");
+}
+
 TEST(BlockMap, EvenDistributionSplitsRemainder) {
   auto m = BlockMap::even(10, 3);
   EXPECT_EQ(m.counts(), (std::vector<int>{4, 3, 3}));

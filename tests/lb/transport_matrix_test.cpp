@@ -7,6 +7,7 @@
 // many RTOs) that later recovers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <ostream>
 #include <utility>
@@ -14,6 +15,8 @@
 
 #include "lb/transport.hpp"
 #include "msg/serialize.hpp"
+#include "obs/attach.hpp"
+#include "obs/obs.hpp"
 #include "sim/world.hpp"
 
 namespace nowlb::lb {
@@ -83,12 +86,22 @@ TransportConfig enabled_transport() {
   return t;
 }
 
+/// A transport counter of an attached hub (the first transport event
+/// registers all seven).
+std::uint64_t count(const obs::Observability& hub, const char* name) {
+  const obs::Counter* c = hub.metrics.find_counter(name);
+  EXPECT_NE(c, nullptr) << name;
+  return c != nullptr ? c->value() : 0;
+}
+
 class TransportMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(TransportMatrix, ExactlyOnceInOrderPerSrcAndTag) {
   const MatrixCase& c = GetParam();
   constexpr int kPerChannel = 25;
+  obs::Observability hub;
   World w(faulty_world(c));
+  obs::attach(w, &hub);
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
   auto& h2 = w.add_host();
@@ -119,7 +132,7 @@ TEST_P(TransportMatrix, ExactlyOnceInOrderPerSrcAndTag) {
       co_await t.send(rx, kDataB, Bytes(static_cast<std::size_t>(i) + 100));
     }
     co_await t.drain();
-    EXPECT_EQ(t.stats().gave_up, 0u);
+    EXPECT_EQ(count(hub, "transport_gave_up"), 0u);
     co_await ctx.send(rx, kBye, Bytes(0));
   };
   Pid tx1 = w.spawn(h1, "tx1", sender);
@@ -160,7 +173,9 @@ std::vector<double> column_values(int i) {
 TEST_P(TransportMatrix, SegmentedPayloadsArriveWhole) {
   const MatrixCase& c = GetParam();
   constexpr int kColumns = 20;
+  obs::Observability hub;
   World w(faulty_world(c));
+  obs::attach(w, &hub);
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
   std::vector<Column> got;
@@ -181,7 +196,7 @@ TEST_P(TransportMatrix, SegmentedPayloadsArriveWhole) {
       co_await t.send(rx, kDataA, std::move(p));
     }
     co_await t.drain();
-    EXPECT_EQ(t.stats().gave_up, 0u);
+    EXPECT_EQ(count(hub, "transport_gave_up"), 0u);
     co_await ctx.send(rx, kBye, Bytes(0));
   });
   w.run();
@@ -247,11 +262,12 @@ TEST(TransportMatrix, BlackoutLongDelaysThenRecover) {
   MatrixCase c{"reorder", false, false, true, 404};
   WorldConfig cfg = faulty_world(c);
   cfg.net.max_extra_delay = 120 * sim::kMillisecond;  // many RTOs of silence
+  obs::Observability hub;
   World w(cfg);
+  obs::attach(w, &hub);
   auto& h0 = w.add_host();
   auto& h1 = w.add_host();
   std::vector<std::size_t> got;
-  TransportStats tx_stats;
 
   const TransportConfig tcfg = enabled_transport();
 
@@ -269,7 +285,6 @@ TEST(TransportMatrix, BlackoutLongDelaysThenRecover) {
       co_await t.send(rx, kDataA, Bytes(static_cast<std::size_t>(i)));
     }
     co_await t.drain();
-    tx_stats = t.stats();
     co_await ctx.send(rx, kBye, Bytes(0));
   });
   w.run();
@@ -280,8 +295,8 @@ TEST(TransportMatrix, BlackoutLongDelaysThenRecover) {
   }
   // The blackout actually bit: retransmits fired, duplicates were
   // suppressed at the receiver, and nothing was abandoned.
-  EXPECT_GT(tx_stats.retransmits, 0u);
-  EXPECT_EQ(tx_stats.gave_up, 0u);
+  EXPECT_GT(count(hub, "transport_retransmits"), 0u);
+  EXPECT_EQ(count(hub, "transport_gave_up"), 0u);
 }
 
 }  // namespace
