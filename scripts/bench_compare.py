@@ -38,16 +38,19 @@ ABS_LIMITS = {
 
 
 def load_report(path):
+    """The report at `path`; exits 2 when it is missing, not a JSON object,
+    or of another schema."""
     try:
         with open(path) as f:
             report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"bench_compare: cannot read {path}: {e}")
-    if report.get("schema_version") != EXPECTED_SCHEMA:
+    except (OSError, ValueError) as e:  # ValueError: not JSON, not UTF-8
+        print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
+        sys.exit(2)
+    version = report.get("schema_version") if isinstance(report, dict) else None
+    if version != EXPECTED_SCHEMA:
         print(
-            f"bench_compare: {path}: schema_version "
-            f"{report.get('schema_version')!r} != {EXPECTED_SCHEMA}; refusing "
-            "to compare across schemas",
+            f"bench_compare: {path}: schema_version {version!r} != "
+            f"{EXPECTED_SCHEMA}; refusing to compare across schemas",
             file=sys.stderr,
         )
         sys.exit(2)

@@ -37,12 +37,15 @@ constexpr sim::Tag kTagCalib = 8003;       // broadcast strip size at startup
 constexpr double kC1 = 0.493;
 constexpr double kC2 = -0.972;
 
-using sor::View;
 using sor::LeftEdge;
 using sor::RightEdge;
+using sor::SweepStart;
+
+// A row field: a View when sent, a vector (the default) when received.
+using View = std::span<const double>;
 
 // One strip's rows of the sender's highest column: the right rank's left
-// boundary for that strip.
+// boundary for that strip. A few hundred bytes, so they travel in the head.
 template <class Col = std::vector<double>>
 struct Ghost {
   std::int32_t sweep = 0;
@@ -50,15 +53,6 @@ struct Ghost {
   std::int32_t col = 0;
   Col rows;
   template <class A> void fields(A& a) { a(sweep, strip, col, rows); }
-};
-
-// Previous-sweep values of a rank's first column, for its left neighbour.
-template <class Col = std::vector<double>>
-struct SweepStart {
-  std::int32_t sweep = 0;
-  std::int32_t col = 0;
-  Col values;
-  template <class A> void fields(A& a) { a(sweep, col, values); }
 };
 
 }  // namespace
@@ -242,9 +236,9 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         // Receiver attaches these columns at its right edge and needs
         // previous-sweep values of our (new) first column as its right
         // ghost / catch-up source.
-        LeftEdge<View> edge;
-        if (actual > 0) edge = {ids.back() + 1, cols.slice(ids.back() + 1)};
-        payload = sor::encode_move(cols, std::move(ids), edge);
+        LeftEdge edge;
+        if (actual > 0) edge = {ids.back() + 1, {cols.slice(ids.back() + 1)}};
+        payload = sor::encode_move(cols, std::move(ids), std::move(edge));
       } else {
         // Receiver attaches these columns at its left edge; for strips our
         // (new) highest column has already covered this sweep it needs that
@@ -252,12 +246,12 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         // ghosts for a *different* column (whichever was highest at the
         // time) and will never be re-sent, so ship a snapshot with its
         // marker. Strips beyond the marker flow as ordinary ghosts.
-        RightEdge<View> edge;
+        RightEdge edge;
         if (actual > 0) {
           const SliceId bnd = ids.front() - 1;
-          edge = {bnd, cols.marker(bnd), cols.slice(bnd)};
+          edge = {bnd, cols.marker(bnd), {cols.slice(bnd)}};
         }
-        payload = sor::encode_move(cols, std::move(ids), edge);
+        payload = sor::encode_move(cols, std::move(ids), std::move(edge));
       }
       co_return std::make_pair(std::move(payload), actual);
     };
@@ -266,18 +260,18 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       // clamped (empty) transfers carry nothing.
       std::vector<SliceId> ids;
       if (peer > rank) {
-        auto mv = sor::decode_move<LeftEdge<>>(payload, cols, rank, peer);
+        auto mv = sor::decode_move<LeftEdge>(payload, cols, rank, peer);
         if (mv.boundary) {
           right_ghost_id = mv.edge.id;
-          right_ghost = std::move(mv.edge.column);
+          right_ghost = std::move(mv.edge.column.values);
         }
         ids = std::move(mv.columns).ids();
       } else {
-        auto mv = sor::decode_move<RightEdge<>>(payload, cols, rank, peer);
+        auto mv = sor::decode_move<RightEdge>(payload, cols, rank, peer);
         if (mv.boundary) {
           left_ghost_id = mv.edge.id;
           left_ghost_marker = mv.edge.marker;
-          left_ghost = std::move(mv.edge.column);
+          left_ghost = std::move(mv.edge.column.values);
         }
         ids = std::move(mv.columns).ids();
       }
@@ -363,20 +357,20 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       // of each rank's first column go to the left neighbour.
       if (has_left) {
         const SliceId first = cols.lowest_id();
-        Payload start =
-            msg::encode(SweepStart<View>{sweep, first, cols.slice(first)});
-        co_await ctx.send(left_pid, kTagSweepStart, std::move(start));
+        SweepStart start{sweep, first, {cols.slice(first)}};
+        Payload payload = msg::encode(start);
+        co_await ctx.send(left_pid, kTagSweepStart, std::move(payload));
       }
       if (has_right) {
         const Time w0 = ctx.now();
         shared->probe[rank] = {"sweepstart", {{"sweep", sweep}}};
         Message m = co_await ctx.recv(kTagSweepStart, right_pid);
         if (agent) agent->note_blocked(ctx.now() - w0);
-        auto start = msg::decode<SweepStart<>>(m.payload);
+        auto start = msg::decode<SweepStart>(m.payload);
         NOWLB_CHECK(start.sweep == sweep,
                     "sweep-start for sweep " << start.sweep);
         right_ghost_id = start.col;
-        right_ghost = std::move(start.values);
+        right_ghost = std::move(start.column.values);
       }
 
       // Strip loop, driven by the minimum marker: freshly caught-up

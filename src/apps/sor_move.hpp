@@ -1,13 +1,14 @@
-// SOR's work transfer on the wire (§4.5): the columns a rank hands to a
-// neighbour, behind a snapshot of the donor's boundary column. The moved
-// columns are owned fields, so each leaves the donor's array and enters
-// the receiver's as the same vector; the snapshot, a column the donor
-// keeps, is written into the head. sor.cpp sends and reads these; they
-// sit in a header so tests can check their bytes.
+// SOR's messages that carry whole columns (§4.5): the columns a rank
+// hands to a neighbour, behind a snapshot of the donor's boundary column,
+// and the sweep-start column. Every column is an owned field: a moved
+// column leaves the donor's array and enters the receiver's as the same
+// vector, and a snapshot, a column the donor keeps, is copied once into a
+// vector that the payload carries as a segment and the receiver keeps as
+// its ghost. sor.cpp sends and reads these; they sit in a header so tests
+// can check their bytes.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -18,26 +19,30 @@
 
 namespace nowlb::apps::sor {
 
-// A column field: a View when sent, a vector (the default) when received.
-using View = std::span<const double>;
-
 // Boundary snapshot a left receiver gets with moved columns: the donor's
 // new first column, which becomes the receiver's right ghost.
-template <class Col = std::vector<double>>
 struct LeftEdge {
   std::int32_t id = 0;
-  Col column;
+  msg::Owned<> column;
   template <class A> void fields(A& a) { a(id, column); }
 };
 
 // Boundary snapshot a right receiver gets: the donor's new highest column
 // and its marker, the receiver's left boundary for strips below it.
-template <class Col = std::vector<double>>
 struct RightEdge {
   std::int32_t id = 0;
   std::int32_t marker = 0;
-  Col column;
+  msg::Owned<> column;
   template <class A> void fields(A& a) { a(id, marker, column); }
+};
+
+// Previous-sweep values of a rank's first column, for its left neighbour,
+// which keeps them as its right ghost.
+struct SweepStart {
+  std::int32_t sweep = 0;
+  std::int32_t col = 0;
+  msg::Owned<> column;
+  template <class A> void fields(A& a) { a(sweep, col, column); }
 };
 
 // A work transfer between neighbours; `Edge` depends on the direction. A
@@ -59,12 +64,13 @@ struct ColumnMove {
 };
 
 // Moves the columns `ids` out of `cols` into one payload, with `edge` as the
-// snapshot when anything moves; each column's vector becomes a segment.
+// snapshot when anything moves; each column's vector, and the snapshot's,
+// becomes a segment.
 template <class Edge>
 msg::Payload encode_move(data::DistArray<double>& cols,
-                         std::vector<data::SliceId> ids, const Edge& edge) {
+                         std::vector<data::SliceId> ids, Edge edge) {
   const std::uint8_t boundary = ids.empty() ? 0 : 1;
-  ColumnMove<Edge> mv{boundary, edge, 0,
+  ColumnMove<Edge> mv{boundary, std::move(edge), 0,
                       data::DistArray<double>::Moving(cols, std::move(ids))};
   mv.col_bytes = msg::encoded_size(mv.columns);
   return msg::encode(mv);

@@ -5,8 +5,8 @@
 // local portion is not a contiguous block: slices are looked up through the
 // owned-index structure — the paper's "extra level of indirection" (§4.5).
 // Here that index is one vector of entries sorted by id: a lookup is a
-// binary search, and the walks (owned ids, markers from an id up, the
-// staircase check, the predicate walks over (id, marker)) are contiguous.
+// binary search, and the walks (owned ids, the staircase check, the
+// predicate walks over (id, marker)) are contiguous.
 // A single add or remove shifts the entries above it; a movement payload
 // adds or drops its whole batch in one pass, finding each entry from the
 // one before (Moving). A reference to a slice's vector is valid until the
@@ -17,12 +17,19 @@
 // Each slice carries an application-defined integer `marker` that records
 // how far the slice has been computed: SOR's strips and LU's steps, for the
 // catch-up / set-aside reconciliation of §4.5, and MM's done flag for the
-// current invocation.
+// current invocation. set_markers_from does not write its entries: it
+// leaves one pending raise (every held slice from an id up reads one
+// marker), which a later raise from at or below that id replaces in O(1),
+// as SOR's strip loop raises its top run strip after strip. Every marker
+// read goes through marker_of. Removing slices leaves the raise as it is;
+// writing a marker or adding slices first writes it through (settle).
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -59,6 +66,7 @@ class DistArray {
   void add(SliceId id, std::vector<T> contents, int marker = 0) {
     NOWLB_CHECK(contents.size() == slice_len_,
                 "slice " << id << " has wrong length " << contents.size());
+    settle();
     const std::size_t i = lower(id);
     NOWLB_CHECK(i == slices_.size() || slices_[i].id != id,
                 "slice " << id << " already present");
@@ -70,7 +78,8 @@ class DistArray {
   /// Remove a slice and return its contents (used when sending work away).
   std::pair<std::vector<T>, int> remove(SliceId id) {
     const std::size_t i = held(id);
-    auto result = std::make_pair(std::move(slices_[i].data), slices_[i].marker);
+    auto result =
+        std::make_pair(std::move(slices_[i].data), marker_of(slices_[i]));
     slices_.erase(slices_.begin() + static_cast<std::ptrdiff_t>(i));
     report(&SliceLedger::on_slice_removed, id);
     return result;
@@ -81,8 +90,11 @@ class DistArray {
     return slices_[held(id)].data;
   }
 
-  int marker(SliceId id) const { return slices_[held(id)].marker; }
-  void set_marker(SliceId id, int m) { slices_[held(id)].marker = m; }
+  int marker(SliceId id) const { return marker_of(slices_[held(id)]); }
+  void set_marker(SliceId id, int m) {
+    settle();
+    slices_[held(id)].marker = m;
+  }
 
   /// Sorted ids of locally held slices.
   std::vector<SliceId> owned_ids() const {
@@ -108,7 +120,7 @@ class DistArray {
   int top_below(int m) const {
     const auto first = std::partition_point(
         slices_.begin(), slices_.end(),
-        [m](const Slice& s) { return s.marker >= m; });
+        [this, m](const Slice& s) { return marker_of(s) >= m; });
     return static_cast<int>(slices_.end() - first);
   }
 
@@ -117,14 +129,14 @@ class DistArray {
   int count_if(Pred pred) const {
     return static_cast<int>(std::count_if(
         slices_.begin(), slices_.end(),
-        [&pred](const Slice& s) { return pred(s.id, s.marker); }));
+        [this, &pred](const Slice& s) { return pred(s.id, marker_of(s)); }));
   }
 
   /// Lowest held id with `pred(id, marker)`, if any.
   template <typename Pred>
   std::optional<SliceId> first_if(Pred pred) const {
     for (const Slice& s : slices_) {
-      if (pred(s.id, s.marker)) return s.id;
+      if (pred(s.id, marker_of(s))) return s.id;
     }
     return std::nullopt;
   }
@@ -136,17 +148,25 @@ class DistArray {
     std::vector<SliceId> out;
     for (auto it = slices_.rbegin();
          it != slices_.rend() && std::ssize(out) < n; ++it) {
-      if (pred(it->id, it->marker)) out.push_back(it->id);
+      if (pred(it->id, marker_of(*it))) out.push_back(it->id);
     }
     std::reverse(out.begin(), out.end());
     return out;
   }
 
-  /// Set the marker of every held slice with id >= `from` to `m`.
+  /// Set the marker of every held slice with id >= `from` to `m`, as the
+  /// pending raise. O(1) when `from` is at or below the pending raise's
+  /// id, as when SOR raises its top run again; otherwise the slices
+  /// between the two first take the pending marker.
   void set_markers_from(SliceId from, int m) {
-    for (std::size_t i = lower(from); i < slices_.size(); ++i) {
-      slices_[i].marker = m;
+    if (from > raise_from_) {
+      for (std::size_t i = lower(static_cast<SliceId>(raise_from_));
+           i < slices_.size() && slices_[i].id < from; ++i) {
+        slices_[i].marker = raise_marker_;
+      }
     }
+    raise_from_ = from;
+    raise_marker_ = m;
   }
 
   /// True when the held ids are contiguous and their markers never increase
@@ -154,9 +174,9 @@ class DistArray {
   /// this shape, so their lowest markers always form the top run.
   bool is_staircase() const {
     return std::adjacent_find(slices_.begin(), slices_.end(),
-                              [](const Slice& lo, const Slice& hi) {
+                              [this](const Slice& lo, const Slice& hi) {
                                 return hi.id != lo.id + 1 ||
-                                       hi.marker > lo.marker;
+                                       marker_of(hi) > marker_of(lo);
                               }) == slices_.end();
   }
 
@@ -213,11 +233,11 @@ class DistArray {
     std::size_t size() const { return ids_.size(); }
     Record<std::span<const T>> record(std::size_t i) const {
       const Slice& s = array_->slices_[find(i)];
-      return {s.id, s.marker, {s.data}};
+      return {s.id, array_->marker_of(s), {s.data}};
     }
     Record<> take(std::size_t i) {
       Slice& s = array_->slices_[find(i)];
-      Record<> r{s.id, s.marker, {std::move(s.data)}};
+      Record<> r{s.id, array_->marker_of(s), {std::move(s.data)}};
       array_->report(&SliceLedger::on_slice_removed, r.id);
       NOWLB_CHECK(r.contents.values.size() == array_->slice_len_,
                   "slice " << r.id << " resized to "
@@ -296,6 +316,21 @@ class DistArray {
     return i;
   }
 
+  /// The marker of entry `s`: the pending raise's when `s` is at or above
+  /// its id, else the stored one.
+  int marker_of(const Slice& s) const {
+    return s.id >= raise_from_ ? raise_marker_ : s.marker;
+  }
+  /// Writes the pending raise into its entries.
+  void settle() {
+    if (raise_from_ == kNoRaise) return;
+    for (std::size_t i = lower(static_cast<SliceId>(raise_from_));
+         i < slices_.size(); ++i) {
+      slices_[i].marker = raise_marker_;
+    }
+    raise_from_ = kNoRaise;
+  }
+
   /// Drops the entries of `ids` (ascending, all held) in one pass.
   void erase(const std::vector<SliceId>& ids) {
     auto next = ids.begin();
@@ -311,6 +346,7 @@ class DistArray {
   /// are, is appended or prepended. One that interleaves with them, as
   /// MM's can, is checked id by id before the array changes.
   void merge(std::vector<Slice>& batch) {
+    settle();
     const auto first = std::make_move_iterator(batch.begin());
     const auto last = std::make_move_iterator(batch.end());
     if (slices_.empty() || slices_.back().id < batch.front().id) {
@@ -337,9 +373,17 @@ class DistArray {
     }
   }
 
+  // Above every SliceId, so that no slice reads a raise from here.
+  static constexpr std::int64_t kNoRaise =
+      std::numeric_limits<std::int64_t>::max();
+
   std::size_t slice_len_;
   int check_rank_ = -1;  // < 0: ownership events not reported
   std::vector<Slice> slices_;  // ascending by id
+  // The pending raise: held slices from id raise_from_ up read
+  // raise_marker_.
+  std::int64_t raise_from_ = kNoRaise;
+  int raise_marker_ = 0;
 };
 
 }  // namespace nowlb::data

@@ -173,6 +173,19 @@ TEST(Sor, LoadBalancingHelpsUnderLoad) {
 
 // A move's layout with every column written inline as a plain vector, the
 // way transfers were encoded before columns became payload segments.
+struct InlineLeftEdge {
+  std::int32_t id = 0;
+  std::vector<double> column;
+  template <class A> void fields(A& a) { a(id, column); }
+};
+
+struct InlineRightEdge {
+  std::int32_t id = 0;
+  std::int32_t marker = 0;
+  std::vector<double> column;
+  template <class A> void fields(A& a) { a(id, marker, column); }
+};
+
 struct InlineColumn {
   std::int32_t id = 0;
   std::int32_t marker = 0;
@@ -218,47 +231,69 @@ msg::Bytes inline_bytes(const data::DistArray<double>& cols,
 }
 
 // Both directions and an empty transfer flatten to the inline bytes, carry
-// one segment per column, and decode back into the receiver's array.
+// one segment per column, the snapshot's included, and decode back into the
+// receiver's array.
 TEST(SorMove, FlattenedTransfersMatchTheInlineBytes) {
   {  // leftward: the donor's lowest columns, then its new first column
     auto cols = move_source();
-    const sor::LeftEdge<> inline_edge{12, cols.slice(12)};
+    const InlineLeftEdge inline_edge{12, cols.slice(12)};
     const msg::Bytes want = inline_bytes(cols, {10, 11}, inline_edge);
-    msg::Payload got = sor::encode_move(
-        cols, {10, 11}, sor::LeftEdge<sor::View>{12, cols.slice(12)});
-    EXPECT_EQ(got.segments.size(), 2u);
+    msg::Payload got =
+        sor::encode_move(cols, {10, 11}, sor::LeftEdge{12, {cols.slice(12)}});
+    EXPECT_EQ(got.segments.size(), 3u);
     EXPECT_EQ(got.flatten(), want);
     data::DistArray<double> dst(3);
-    const auto mv = sor::decode_move<sor::LeftEdge<>>(got, dst, 0, 1);
+    const auto mv = sor::decode_move<sor::LeftEdge>(got, dst, 0, 1);
     EXPECT_EQ(mv.edge.id, 12);
     EXPECT_EQ(dst.owned_ids(), (std::vector<data::SliceId>{10, 11}));
     EXPECT_EQ(dst.marker(11), 5);
   }
   {  // rightward: the donor's highest columns, then its new last column
     auto cols = move_source();
-    const sor::RightEdge<> inline_edge{12, 3, cols.slice(12)};
+    const InlineRightEdge inline_edge{12, 3, cols.slice(12)};
     const msg::Bytes want = inline_bytes(cols, {13, 14}, inline_edge);
     msg::Payload got = sor::encode_move(
-        cols, {13, 14}, sor::RightEdge<sor::View>{12, 3, cols.slice(12)});
-    EXPECT_EQ(got.segments.size(), 2u);
+        cols, {13, 14}, sor::RightEdge{12, 3, {cols.slice(12)}});
+    EXPECT_EQ(got.segments.size(), 3u);
     EXPECT_EQ(got.flatten(), want);
     data::DistArray<double> dst(3);
-    const auto mv = sor::decode_move<sor::RightEdge<>>(got, dst, 2, 1);
+    const auto mv = sor::decode_move<sor::RightEdge>(got, dst, 2, 1);
     EXPECT_EQ(mv.edge.marker, 3);
     EXPECT_EQ(dst.slice(14), (std::vector<double>{4.5, -4.0, 4e-300}));
   }
   {  // a clamped transfer: no snapshot, no columns
     auto cols = move_source();
-    const msg::Bytes want = inline_bytes(cols, {}, sor::LeftEdge<>{});
-    msg::Payload got =
-        sor::encode_move(cols, {}, sor::LeftEdge<sor::View>{});
+    const msg::Bytes want = inline_bytes(cols, {}, InlineLeftEdge{});
+    msg::Payload got = sor::encode_move(cols, {}, sor::LeftEdge{});
     EXPECT_TRUE(got.segments.empty());
     EXPECT_EQ(got.flatten(), want);
     EXPECT_EQ(want.size(), 1u + 8u + 4u);
     data::DistArray<double> dst(3);
-    EXPECT_EQ(sor::decode_move<sor::LeftEdge<>>(got, dst, 0, 1).boundary, 0);
+    EXPECT_EQ(sor::decode_move<sor::LeftEdge>(got, dst, 0, 1).boundary, 0);
     EXPECT_EQ(cols.owned_count(), 5);
   }
+}
+
+// The sweep-start column flattens to [i32 sweep][i32 col][u64 n][n doubles]
+// and travels as one segment: the sender's copy is the only one, and the
+// receiver takes that vector.
+TEST(SorMove, SweepStartCarriesItsColumnAsOneSegment) {
+  const std::vector<double> column = {0.5, -2.0, 1e-300};
+  sor::SweepStart start{7, 12, {column}};
+  msg::Payload got = msg::encode(start);
+  ASSERT_EQ(got.segments.size(), 1u);
+  EXPECT_TRUE(start.column.values.empty());
+  msg::Writer want;
+  want.put<std::int32_t>(7).put<std::int32_t>(12).put_vec(column);
+  EXPECT_EQ(got.flatten(), want.take());
+  EXPECT_EQ(got.head.size(), 4u + 4u + 8u);
+
+  const double* sent = got.segments.front().values.data();
+  const auto back = msg::decode<sor::SweepStart>(got);
+  EXPECT_EQ(back.sweep, 7);
+  EXPECT_EQ(back.col, 12);
+  EXPECT_EQ(back.column.values, column);
+  EXPECT_EQ(back.column.values.data(), sent);
 }
 
 }  // namespace

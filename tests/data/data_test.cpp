@@ -416,10 +416,19 @@ TEST(DistArray, MatchesAnOrderedMapModel) {
     a[1].enable_ownership_checks(1);
     Rng rng(seed);
     double serial = 0;
+    // top_below needs markers that never rise with the id: lays a
+    // staircase on rank r's array, `marker` from a random split up and
+    // `marker` + 1 below it.
+    const auto lay_staircase = [&](int r, int marker) {
+      const SliceId split = pick(m[r], rng);
+      a[r].set_markers_from(a[r].lowest_id(), marker + 1);
+      a[r].set_markers_from(split, marker);
+      for (auto& [id, s] : m[r]) s.first = id < split ? marker + 1 : marker;
+    };
     for (int op = 0; op < kOps; ++op) {
       const int r = static_cast<int>(rng.below(2));
       const int marker = static_cast<int>(rng.below(4));
-      switch (rng.below(8)) {
+      switch (rng.below(9)) {
         case 0:
         case 1: {
           const auto id = static_cast<SliceId>(rng.below(kIds));
@@ -458,16 +467,30 @@ TEST(DistArray, MatchesAnOrderedMapModel) {
           }
           break;
         }
-        case 5: {
-          // top_below needs markers that never rise with the id: lay a
-          // staircase from a random split, then look up every threshold.
+        case 5:
+          // A staircase, then every threshold looked up.
           if (m[r].empty()) break;
-          const SliceId split = pick(m[r], rng);
-          a[r].set_markers_from(a[r].lowest_id(), marker + 1);
-          a[r].set_markers_from(split, marker);
-          for (auto& [id, s] : m[r]) s.first = id < split ? marker + 1 : marker;
+          lay_staircase(r, marker);
           for (int t = marker - 1; t <= marker + 2; ++t) {
             EXPECT_EQ(a[r].top_below(t), model_top_below(m[r], t)) << t;
+          }
+          break;
+        case 6: {
+          // SOR's strips: on a staircase, raise the top run at the lowest
+          // marker p to p + 1, two to four times in a row. The last raise
+          // is still pending when the next operation runs.
+          if (m[r].empty()) break;
+          lay_staircase(r, marker);
+          const int strips = 2 + static_cast<int>(rng.below(3));
+          for (int k = 0; k < strips; ++k) {
+            const int p = a[r].marker(a[r].highest_id());
+            const int run = a[r].top_below(p + 1);
+            ASSERT_EQ(run, model_top_below(m[r], p + 1));
+            const SliceId from = std::prev(m[r].end(), run)->first;
+            a[r].set_markers_from(from, p + 1);
+            for (auto it = m[r].lower_bound(from); it != m[r].end(); ++it) {
+              it->second.first = p + 1;
+            }
           }
           break;
         }
