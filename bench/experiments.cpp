@@ -50,10 +50,10 @@ struct Flags {
 };
 
 /// Paper-style repetition: mean with range bars over `reps` seeds.
-exp::RepeatedMeasurement measure(int reps, const Workload& w, bool use_lb,
+exp::RepeatedMeasurement measure(int reps, const Workload& w,
                                  const exp::ExperimentConfig& cfg) {
   return exp::repeat(reps, cfg, [&](const exp::ExperimentConfig& c) {
-    return exp::run(w, use_lb, c);
+    return exp::run(w, c);
   });
 }
 
@@ -123,9 +123,11 @@ void sweep(const Flags& f, const Workload& w, const std::string& title) {
   const int reps = f.get("reps", 3);
   const double seq = exp::seq_time_s(w);
   for (int s = 1; s <= f.get("max-slaves", kMaxSlaves); ++s) {
-    const auto cfg = exp::config(w, s);
-    const auto par = measure(reps, w, /*use_lb=*/false, cfg);
-    const auto dlb = measure(reps, w, /*use_lb=*/true, cfg);
+    exp::ExperimentConfig cfg = exp::config(w, s);
+    cfg.balance = false;
+    const auto par = measure(reps, w, cfg);
+    cfg.balance = true;
+    const auto dlb = measure(reps, w, cfg);
     t.row().cell(s);
     if (!loaded) t.cell(seq, 1);
     t.cell_pm(par.elapsed_s.mean(), par.elapsed_s.range_halfwidth(), 1)
@@ -188,7 +190,7 @@ void fig9(const Flags& f) {
   cfg.want_trace = true;
 
   exp::Trace trace;
-  const auto m = exp::run(w, /*use_lb=*/true, cfg, &trace);
+  const auto m = exp::run(w, cfg, &trace);
 
   std::cout << "== Fig 9: MM with oscillating load (20 s period, 10 s "
                "duration) on slave 0 of 4 ==\n";
@@ -245,9 +247,9 @@ void pipeline(const Flags& f) {
     exp::ExperimentConfig cfg = exp::config(w, 6);
     cfg.world.net.latency = sim::from_seconds(latency_ms / 1000.0);
     cfg.lb.pipelined = false;
-    const auto sync = measure(reps, w, /*use_lb=*/true, cfg);
+    const auto sync = measure(reps, w, cfg);
     cfg.lb.pipelined = true;
-    const auto pipe = measure(reps, w, /*use_lb=*/true, cfg);
+    const auto pipe = measure(reps, w, cfg);
 
     t.row()
         .cell(latency_ms, 1)
@@ -289,7 +291,7 @@ void refinements(const Flags& f) {
     cfg.lb.filtering = v.filtering;
     cfg.lb.improvement_threshold = v.threshold;
     cfg.lb.profitability_check = v.profitability;
-    const auto r = measure(reps, w, /*use_lb=*/true, cfg);
+    const auto r = measure(reps, w, cfg);
     t.row()
         .cell(v.name)
         .cell_pm(r.elapsed_s.mean(), r.elapsed_s.range_halfwidth(), 1)
@@ -318,7 +320,7 @@ void grain(const Flags& f) {
   t.header({"block rows", "time(s)", "efficiency", "units moved"});
   for (int bs : {1, 4, 0 /*auto*/, 120, 499}) {
     w.block_rows = bs;
-    const auto r = measure(reps, w, /*use_lb=*/true, exp::config(w, 6));
+    const auto r = measure(reps, w, exp::config(w, 6));
     t.row()
         .cell(bs == 0 ? std::string("auto (1.5x quantum)")
                       : std::to_string(bs))
@@ -371,9 +373,11 @@ void lu(const Flags& f) {
   for (int s : {4, 6}) {
     for (const Load load : {Load::kNone, Load::kConstant}) {
       w.load = load;
-      const auto cfg = exp::config(w, s);
-      const auto par = measure(reps, w, /*use_lb=*/false, cfg);
-      const auto dlb = measure(reps, w, /*use_lb=*/true, cfg);
+      exp::ExperimentConfig cfg = exp::config(w, s);
+      cfg.balance = false;
+      const auto par = measure(reps, w, cfg);
+      cfg.balance = true;
+      const auto dlb = measure(reps, w, cfg);
       t.row()
           .cell(s)
           .cell(load == Load::kNone ? "no" : "slave 0")

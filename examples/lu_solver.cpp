@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "apps/lu.hpp"
-#include "exp/harness.hpp"
+#include "exp/registry.hpp"
 #include "lb/cluster.hpp"
 #include "load/generators.hpp"
 #include "sim/world.hpp"
@@ -23,6 +23,17 @@ int main(int argc, char** argv) {
   lu.real_compute = true;
   lu.update_cost = 200 * sim::kMicrosecond;
   const int slaves = static_cast<int>(cli.get_int("slaves", 4));
+  if (slaves < 2) {
+    std::cerr << "--slaves=" << cli.get("slaves", "")
+              << " must be at least 2: the competing load runs on slave 1\n";
+    return 2;
+  }
+  const int least = exp::min_n(apps::App::kLu, slaves);
+  if (lu.n < least) {
+    std::cerr << "--n=" << lu.n << " is too small: LU on " << slaves
+              << " slaves needs --n >= " << least << "\n";
+    return 2;
+  }
 
   sim::World world;
   auto shared = std::make_shared<apps::LuShared>();

@@ -1,13 +1,14 @@
 // Matrix multiplication on a shared workstation network.
 //
 // Runs the paper's 500x500 MM on N slaves with a constant competing load
-// on workstation 0, with and without dynamic load balancing, and prints
-// execution time, speedup and the paper's efficiency metric for both.
+// on workstation 0, statically (the same program with no master) and with
+// dynamic load balancing, and prints execution time, speedup and the
+// paper's efficiency metric for both.
 //
 //   ./examples/mm_adaptive [--n=500] [--slaves=6]
 #include <iostream>
 
-#include "exp/harness.hpp"
+#include "exp/registry.hpp"
 #include "load/generators.hpp"
 #include "util/cli.hpp"
 
@@ -20,6 +21,17 @@ int main(int argc, char** argv) {
 
   exp::ExperimentConfig cfg;
   cfg.slaves = static_cast<int>(cli.get_int("slaves", 6));
+  if (cfg.slaves < 1) {
+    std::cerr << "--slaves=" << cli.get("slaves", "")
+              << " must be a positive integer\n";
+    return 2;
+  }
+  const int least = exp::min_n(apps::App::kMm, cfg.slaves);
+  if (mm.n < least) {
+    std::cerr << "--n=" << mm.n << " is too small: MM on " << cfg.slaves
+              << " slaves needs --n >= " << least << "\n";
+    return 2;
+  }
   cfg.world = exp::paper_world();
   cfg.lb = exp::paper_lb();
   cfg.loads.push_back({0, [] { return load::constant(); }});
@@ -28,13 +40,13 @@ int main(int argc, char** argv) {
             << " slaves, constant competing load on slave 0\n";
   std::cout << "sequential time: " << apps::mm_seq_time_s(mm) << " s\n\n";
 
-  mm.use_lb = false;
+  cfg.balance = false;
   const auto static_run = exp::run_mm(mm, cfg);
   std::cout << "static distribution:     " << static_run.elapsed_s
             << " s, speedup " << static_run.speedup << ", efficiency "
             << static_run.efficiency << "\n";
 
-  mm.use_lb = true;
+  cfg.balance = true;
   const auto dlb_run = exp::run_mm(mm, cfg);
   std::cout << "dynamic load balancing:  " << dlb_run.elapsed_s
             << " s, speedup " << dlb_run.speedup << ", efficiency "

@@ -5,12 +5,13 @@
 // (Fig. 8); pass --oscillate for the Fig. 9-style 20 s on/off load (note:
 // a 20 s oscillation is faster than restricted pipelined balancing can
 // converge at small problem sizes, so DLB may lose there — instructive!).
+// The static run is the same program with no master.
 //
 //   ./examples/sor_pipeline [--n=2000] [--sweeps=20] [--slaves=6] [--oscillate]
 #include <iostream>
 #include <vector>
 
-#include "exp/harness.hpp"
+#include "exp/registry.hpp"
 #include "load/generators.hpp"
 #include "obs/ledger.hpp"
 #include "util/cli.hpp"
@@ -26,6 +27,17 @@ int main(int argc, char** argv) {
 
   exp::ExperimentConfig cfg;
   cfg.slaves = static_cast<int>(cli.get_int("slaves", 6));
+  if (cfg.slaves < 1) {
+    std::cerr << "--slaves=" << cli.get("slaves", "")
+              << " must be a positive integer\n";
+    return 2;
+  }
+  const int least = exp::min_n(apps::App::kSor, cfg.slaves);
+  if (sor.n < least) {
+    std::cerr << "--n=" << sor.n << " is too small: SOR on " << cfg.slaves
+              << " slaves needs --n >= " << least << "\n";
+    return 2;
+  }
   cfg.world = exp::paper_world();
   cfg.lb = exp::paper_lb();
   cfg.want_trace = true;
@@ -43,12 +55,12 @@ int main(int argc, char** argv) {
             << " slaves; competing load on slave 0\n";
   std::cout << "sequential time: " << apps::sor_seq_time_s(sor) << " s\n\n";
 
-  sor.use_lb = false;
+  cfg.balance = false;
   const auto st = exp::run_sor(sor, cfg);
   std::cout << "static:  " << st.elapsed_s << " s, efficiency "
             << st.efficiency << "\n";
 
-  sor.use_lb = true;
+  cfg.balance = true;
   exp::Trace trace;
   const auto dy = exp::run_sor(sor, cfg, &trace);
   std::cout << "dynamic: " << dy.elapsed_s << " s, efficiency "

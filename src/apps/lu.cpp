@@ -1,6 +1,5 @@
 #include "apps/lu.hpp"
 
-#include <optional>
 #include <span>
 
 #include "data/dist_array.hpp"
@@ -104,7 +103,6 @@ lb::ClusterConfig lu_cluster_config(const LuConfig& cfg, int slaves,
   cc.lb = lb;
   cc.lb.movement = lb::Movement::kUnrestricted;
   cc.initial_counts = BlockMap::even(cfg.n, slaves).counts();
-  cc.use_master = cfg.use_lb;
   return cc;
 }
 
@@ -134,14 +132,10 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
     int k_now = 0;  // current outer step
     // Columns up to the current step are finished (inactive, §4.7): they
     // neither count as remaining work nor move.
-    std::optional<lb::SlaveAgent> agent;
-    if (cfg.use_lb) {
-      agent.emplace(c.make_agent(
-          ctx, rank,
-          loop::array_ops(cols, [&k_now](SliceId id, int) {
-            return id > k_now;
-          })));
-    }
+    lb::SlaveAgent agent = c.make_agent(
+        ctx, rank, loop::array_ops(cols, [&k_now](SliceId id, int) {
+          return id > k_now;
+        }));
 
     // Bring column j through steps marker(j)..last (each step k does
     // cols[j] -= pivots[k] * a[k][j] on rows k+1..n-1) and set its marker
@@ -166,7 +160,7 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
     };
     const auto add_steps = [&](int steps) {
       shared->units_by_rank[static_cast<std::size_t>(rank)] += steps;
-      if (agent) agent->add_units(steps);
+      agent.add_units(steps);
     };
 
     for (int k = 0; k < n - 1; ++k) {
@@ -215,14 +209,13 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
           const Time w0 = ctx.now();
           Message m = co_await ctx.recv(sim::kAnyTag, sim::kAnyPid);
           shared->probe[rank] = {"pivot-got", {{"k", k}, {"tag", m.tag}}};
-          if (agent) agent->note_blocked(ctx.now() - w0);
+          agent.note_blocked(ctx.now() - w0);
           if (m.tag == kTagPivot) {
             auto bcast = msg::decode<Pivot<>>(m.payload);
             pivots[static_cast<std::size_t>(bcast.step)] =
                 std::move(bcast.multipliers);
           } else {
-            NOWLB_CHECK(agent.has_value(), "runtime message without balancer");
-            co_await agent->accept_runtime(std::move(m));
+            co_await agent.accept_runtime(std::move(m));
           }
         }
         if (pivots[static_cast<std::size_t>(k)].empty()) {
@@ -246,18 +239,14 @@ void lu_build(lb::Cluster& cluster, const LuConfig& cfg,
 
       // Hook at the end of each distributed-loop invocation (§4.2; §4.7's
       // frequency adaptation spaces the actual balances out in units).
-      if (agent) {
-        shared->probe[rank] = {"hook", {{"k", k}}};
-        co_await agent->hook();
-      }
+      shared->probe[rank] = {"hook", {{"k", k}}};
+      co_await agent.hook();
     }
 
     k_now = n - 1;  // column n-1 needs no further work
-    if (agent) {
-      shared->probe[rank] = {"finalize"};
-      co_await agent->finalize();
-      shared->probe[rank] = {"done"};
-    }
+    shared->probe[rank] = {"finalize"};
+    co_await agent.finalize();
+    shared->probe[rank] = {"done"};
     // Column n-1 is never a pivot, so no step waits for it: a transfer
     // that delivers it after this rank's last update (while finalize
     // settles the orders) leaves it behind. Bring it up to date here.

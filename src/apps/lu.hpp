@@ -28,7 +28,6 @@ namespace nowlb::apps {
 
 struct LuConfig {
   int n = 500;
-  bool use_lb = true;  // false: static block distribution, no master
   bool real_compute = false;
   sim::Time update_cost = 2'900;  // virtual ns per element update
   std::uint64_t seed = 42;

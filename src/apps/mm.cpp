@@ -1,7 +1,5 @@
 #include "apps/mm.hpp"
 
-#include <optional>
-
 #include "data/dist_array.hpp"
 #include "data/slice.hpp"
 #include "loop/movement.hpp"
@@ -79,7 +77,6 @@ lb::ClusterConfig mm_cluster_config(const MmConfig& cfg, int slaves,
   cc.lb.movement = lb::Movement::kUnrestricted;  // no carried dependences
   // Work unit j is column j of B and C.
   cc.initial_counts = BlockMap::even(cfg.n, slaves).counts();
-  cc.use_master = cfg.use_lb;
   return cc;
 }
 
@@ -131,47 +128,40 @@ void mm_build(lb::Cluster& cluster, const MmConfig& cfg,
     // knows the current invocation.
     int phase = 0;
 
-    // Static distribution (the paper's plain parallel baseline) runs the
-    // same loop with no agent: no master, no hooks, no movement.
-    std::optional<lb::SlaveAgent> agent;
-    if (cfg.use_lb) {
-      lb::SlaveAgent::WorkOps ops = loop::array_ops(local_b, pending);
-      ops.adopt = [&](const std::vector<std::int32_t>& ids) -> Task<> {
-        // Reconstruct orphaned columns from the replicated input B (a real
-        // generated program would reload or recompute them the same way)
-        // and redo whatever the dead rank had not finished this invocation:
-        // compute_column's count increment is atomic with its output
-        // write, so a column is either fully done (count == phase + 1) or
-        // must be recomputed.
-        for (const std::int32_t j : ids) {
-          const bool done =
-              shared->compute_count_per_column[static_cast<std::size_t>(j)] >=
-              phase + 1;
-          local_b.add(j, shared->b[static_cast<std::size_t>(j)], done ? 1 : 0);
-        }
-        co_return;
-      };
-      agent.emplace(c.make_agent(ctx, rank, std::move(ops)));
-    }
+    lb::SlaveAgent::WorkOps ops = loop::array_ops(local_b, pending);
+    ops.adopt = [&](const std::vector<std::int32_t>& ids) -> Task<> {
+      // Reconstruct orphaned columns from the replicated input B (a real
+      // generated program would reload or recompute them the same way)
+      // and redo whatever the dead rank had not finished this invocation:
+      // compute_column's count increment is atomic with its output
+      // write, so a column is either fully done (count == phase + 1) or
+      // must be recomputed.
+      for (const std::int32_t j : ids) {
+        const bool done =
+            shared->compute_count_per_column[static_cast<std::size_t>(j)] >=
+            phase + 1;
+        local_b.add(j, shared->b[static_cast<std::size_t>(j)], done ? 1 : 0);
+      }
+      co_return;
+    };
+    lb::SlaveAgent agent = c.make_agent(ctx, rank, std::move(ops));
 
     for (phase = 0; phase < cfg.repeats; ++phase) {
       // New invocation: every owned column is pending again.
       local_b.set_markers_from(0, 0);
-      if (agent) agent->begin_phase();
+      agent.begin_phase();
       for (;;) {
         while (const auto j = local_b.first_if(pending)) {
           co_await compute_column(ctx, cfg, *shared, local_b.slice(*j), *j);
           local_b.set_marker(*j, 1);
           ++shared->columns_computed[static_cast<std::size_t>(rank)];
-          if (!agent) continue;
           // Hook at the end of each distributed iteration: the distributed
           // loop is outermost (§4.2 rule 1).
-          agent->add_units(1);
-          co_await agent->hook();
+          agent.add_units(1);
+          co_await agent.hook();
         }
-        if (!agent) break;
-        co_await agent->drain();
-        if (agent->phase_done()) break;
+        co_await agent.drain();
+        if (agent.phase_done()) break;
       }
     }
   });

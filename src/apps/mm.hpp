@@ -19,7 +19,6 @@ namespace nowlb::apps {
 struct MmConfig {
   int n = 500;            // square matrix dimension == work units
   int repeats = 1;        // distributed-loop invocations (phases)
-  bool use_lb = true;     // false: static block distribution, no master
   bool real_compute = false;  // do the arithmetic (tests) or cost-only
   sim::Time mac_cost = 2'000;  // virtual ns per multiply-accumulate
   std::uint64_t seed = 42;     // input matrix generator

@@ -112,7 +112,6 @@ lb::ClusterConfig sor_cluster_config(const SorConfig& cfg, int slaves,
   cc.lb = lb;
   cc.lb.movement = lb::Movement::kRestricted;  // loop-carried dependences
   cc.initial_counts = BlockMap::even(cfg.n - 2, slaves).counts();
-  cc.use_master = cfg.use_lb;
   return cc;
 }
 
@@ -290,8 +289,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       co_return static_cast<int>(ids.size());
     };
 
-    std::optional<lb::SlaveAgent> agent;
-    if (cfg.use_lb) agent.emplace(c.make_agent(ctx, rank, std::move(ops)));
+    lb::SlaveAgent agent = c.make_agent(ctx, rank, std::move(ops));
 
     // Ghost segments received for the current sweep but not (yet) needed:
     // work movement can change which column's segments we consume, and a
@@ -323,8 +321,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         Message m = co_await ctx.recv(sim::kAnyTag, sim::kAnyPid);
         shared->probe[rank] = {"ghost-got", {{"tag", m.tag}}};
         if (m.tag == lb::kTagMove || m.tag == lb::kTagInstr) {
-          NOWLB_CHECK(agent.has_value(), "runtime message without balancer");
-          co_await agent->accept_runtime(std::move(m));
+          co_await agent.accept_runtime(std::move(m));
           // Work movement (either direction) may have invalidated the
           // expectation — e.g. we may just have donated the very columns
           // whose boundary we were waiting for. Re-resolve from scratch.
@@ -351,7 +348,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       ghost_stash.clear();
       left_ghost_id = -1;
       left_ghost_marker = 0;
-      if (agent) agent->begin_phase();
+      agent.begin_phase();
 
       // Communication outside the distributed loop: previous-sweep values
       // of each rank's first column go to the left neighbour.
@@ -365,7 +362,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
         const Time w0 = ctx.now();
         shared->probe[rank] = {"sweepstart", {{"sweep", sweep}}};
         Message m = co_await ctx.recv(kTagSweepStart, right_pid);
-        if (agent) agent->note_blocked(ctx.now() - w0);
+        agent.note_blocked(ctx.now() - w0);
         auto start = msg::decode<SweepStart>(m.payload);
         NOWLB_CHECK(start.sweep == sweep,
                     "sweep-start for sweep " << start.sweep);
@@ -379,13 +376,12 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
       for (;;) {
         const int p = min_marker();
         if (p >= strips) {
-          if (!agent) break;  // static run: the sweep simply ends
           // Sweep locally complete; run balance rounds until the master
           // declares the invocation done (we may receive more columns).
           shared->probe[rank] = {"drain", {{"sweep", sweep}}};
-          co_await agent->drain();
+          co_await agent.drain();
           shared->probe[rank] = {"drained"};
-          if (agent->phase_done()) break;
+          if (agent.phase_done()) break;
           continue;
         }
         const auto [rb, re] = strip_rows(p);
@@ -417,7 +413,7 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
           }
           const Time w0 = ctx.now();
           lseg = co_await recv_ghost(sweep, p, firstw - 1);
-          if (agent) agent->note_blocked(ctx.now() - w0);
+          agent.note_blocked(ctx.now() - w0);
           if (!lseg) continue;  // the column arrived via movement
           // Re-validate: movement during the wait may have changed the
           // work set or even the leftmost column the segment was for. A
@@ -484,11 +480,9 @@ void sor_build(lb::Cluster& cluster, const SorConfig& cfg,
 
         const double units = static_cast<double>(width) * (re - rb) / interior;
         shared->units_by_rank[static_cast<std::size_t>(rank)] += units;
-        if (agent) {
-          agent->add_units(units);
-          shared->probe[rank] = {"hook", {{"strip", p}}};
-          co_await agent->hook();
-        }
+        agent.add_units(units);
+        shared->probe[rank] = {"hook", {{"strip", p}}};
+        co_await agent.hook();
       }
     }
 

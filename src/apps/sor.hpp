@@ -38,7 +38,6 @@ namespace nowlb::apps {
 struct SorConfig {
   int n = 2000;    // grid dimension; interior is 1..n-2
   int sweeps = 20;
-  bool use_lb = true;  // false: static block distribution, no master
   bool real_compute = false;
   sim::Time update_cost = 4'375;  // virtual ns per 5-point update
   /// Strip height in rows; 0 = calibrate at startup (rank 0 measures and

@@ -5,6 +5,7 @@
 #include <string>
 #include <variant>
 
+#include "lb/master.hpp"
 #include "obs/ledger.hpp"
 #include "sim/world.hpp"
 
@@ -397,14 +398,18 @@ void CrashInjector::on(sim::Time, const lb::Event& ev) {
 
 // ------------------------------------------------------------------ wiring
 
-void add_standard_checkers(InvariantSet& set, int nslaves, int lag,
-                           bool restricted, int expected_slices) {
+void add_standard_checkers(InvariantSet& set, const lb::ClusterConfig& cfg) {
+  const bool lagged = cfg.termination == lb::Termination::kPhases &&
+                      cfg.lb.pipelined;
   set.add(std::make_unique<WorkConservationChecker>());
-  set.add(std::make_unique<PipelineLagChecker>(lag));
-  set.add(std::make_unique<SliceOwnershipChecker>(expected_slices));
+  set.add(std::make_unique<PipelineLagChecker>(lagged ? 1 : 0));
+  set.add(std::make_unique<SliceOwnershipChecker>(std::accumulate(
+      cfg.initial_counts.begin(), cfg.initial_counts.end(), 0)));
   set.add(std::make_unique<EvictionChecker>());
   set.add(std::make_unique<TransportChecker>());
-  if (restricted) set.add(std::make_unique<ContiguityChecker>(nslaves));
+  if (cfg.lb.movement == lb::Movement::kRestricted) {
+    set.add(std::make_unique<ContiguityChecker>(cfg.slaves));
+  }
 }
 
 }  // namespace nowlb::check

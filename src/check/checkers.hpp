@@ -21,6 +21,10 @@ namespace nowlb::obs {
 class DecisionLedger;
 }
 
+namespace nowlb::lb {
+struct ClusterConfig;
+}
+
 namespace nowlb::check {
 
 /// Work conservation. Units leave a rank only by being packed onto the
@@ -189,10 +193,11 @@ class CrashInjector final : public Invariant {
   bool fired_ = false;
 };
 
-/// The full checker complement for a scenario: conservation + pipeline lag
-/// + ownership + eviction + transport always (the fault checkers are
-/// no-ops in fault-free runs); contiguity only in restricted-movement mode.
-void add_standard_checkers(InvariantSet& set, int nslaves, int lag,
-                           bool restricted, int expected_slices);
+/// The full checker complement for the run `cfg` describes: conservation +
+/// pipeline lag + ownership + eviction + transport always (the fault
+/// checkers are no-ops in fault-free runs); contiguity only in
+/// restricted-movement mode. A done-flag master answers each report
+/// directly, so only a pipelined phase-counting run lags one round.
+void add_standard_checkers(InvariantSet& set, const lb::ClusterConfig& cfg);
 
 }  // namespace nowlb::check

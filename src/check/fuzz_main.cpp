@@ -12,6 +12,7 @@
 //   nowlb-fuzz --app=mm --seeds=25 --drop-rate=0.05 --kill-slave=1@3
 //   nowlb-fuzz --app=mm --seed=7 --record=mm7.nir   # then nowlb-inspect
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -168,15 +169,13 @@ int main(int argc, char** argv) {
   }
   const std::string kill_flag = cli.get("kill-slave", "");
   if (!kill_flag.empty()) {
-    const std::size_t at = kill_flag.find('@');
-    try {
-      plan.kill_rank = std::stoi(kill_flag.substr(0, at));
-      if (at != std::string::npos) {
-        plan.kill_round = std::stoi(kill_flag.substr(at + 1));
-      }
-    } catch (...) {
-      plan.kill_rank = -1;
+    // RANK or RANK@ROUND, each number whole: "1x@3" names no rank.
+    const char* const end = kill_flag.data() + kill_flag.size();
+    auto r = std::from_chars(kill_flag.data(), end, plan.kill_rank);
+    if (r.ec == std::errc() && r.ptr != end && *r.ptr == '@') {
+      r = std::from_chars(r.ptr + 1, end, plan.kill_round);
     }
+    if (r.ec != std::errc() || r.ptr != end) plan.kill_rank = -1;
     if (plan.kill_rank < 0 || plan.kill_round < 1) {
       std::fprintf(stderr, "--kill-slave expects RANK@ROUND (e.g. 1@3)\n");
       return 2;
@@ -194,6 +193,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--seeds=%s must be a positive integer\n",
                  cli.get("seeds", "").c_str());
     return 2;
+  }
+  // Cast to unsigned, a negative seed wraps the seed loop's end: nothing
+  // would run, and the sweep would report a pass.
+  for (const char* flag : {"base", "seed"}) {
+    if (cli.get_int(flag, 1) < 0) {
+      std::fprintf(stderr, "--%s=%s must be a non-negative integer\n", flag,
+                   cli.get(flag, "").c_str());
+      return 2;
+    }
   }
   std::uint64_t base = static_cast<std::uint64_t>(cli.get_int("base", 1));
   std::uint64_t nseeds = static_cast<std::uint64_t>(seeds_int);

@@ -209,22 +209,6 @@ FuzzResult run_scenario(const Scenario& sc, InvariantSet::Fault fault,
   if (obs != nullptr) {
     set.add(std::make_unique<LedgerChecker>(&obs->ledger));
   }
-  const bool restricted = sc.app == App::kSor;
-  const int lag =
-      sc.app == App::kLu ? 0 : (sc.lb.pipelined ? 1 : 0);
-  int expected_slices = 0;
-  switch (sc.app) {
-    case App::kMm:
-      expected_slices = sc.mm.n;
-      break;
-    case App::kSor:
-      expected_slices = sc.sor.n - 2;
-      break;
-    case App::kLu:
-      expected_slices = sc.lu.n;
-      break;
-  }
-  add_standard_checkers(set, sc.slaves, lag, restricted, expected_slices);
   data::SliceLedgerScope ledger_scope(&set);
 
   lb::LbConfig lbcfg = sc.lb;
@@ -237,7 +221,8 @@ FuzzResult run_scenario(const Scenario& sc, InvariantSet::Fault fault,
   // parallel run mutates the shared state in place).
   std::vector<std::vector<double>> reference;
 
-  // Build the cluster (the config helpers force the app's movement mode).
+  // Build the cluster (the config helpers force the app's movement mode,
+  // termination and unit count, which the standard checkers read).
   lb::ClusterConfig ccfg;
   switch (sc.app) {
     case App::kMm:
@@ -260,6 +245,7 @@ FuzzResult run_scenario(const Scenario& sc, InvariantSet::Fault fault,
       ccfg = apps::lu_cluster_config(sc.lu, sc.slaves, lbcfg);
       break;
   }
+  add_standard_checkers(set, ccfg);
 
   lb::Cluster cluster(world, ccfg);
   switch (sc.app) {

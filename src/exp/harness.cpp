@@ -55,7 +55,7 @@ Measurement finish(const ExperimentConfig& cfg, RunParts& parts,
   m.speedup = seq_s / m.elapsed_s;
   m.trace_hash = w.engine().trace_hash();
   m.dispatched_events = w.engine().dispatched_events();
-  if (cluster.has_master()) m.stats = cluster.stats();
+  m.stats = cluster.stats();
 
   // efficiency = T_seq / sum_p (elapsed - competing CPU on p's host)
   double denominator = 0;
@@ -81,6 +81,7 @@ Measurement finish(const ExperimentConfig& cfg, RunParts& parts,
 Measurement run_mm(const apps::MmConfig& app, const ExperimentConfig& cfg,
                    Trace* trace) {
   auto cc = apps::mm_cluster_config(app, cfg.slaves, cfg.lb);
+  cc.use_master = cfg.balance;
   RunParts parts(cfg, std::move(cc));
   auto shared = std::make_shared<apps::MmShared>();
   apps::mm_make_inputs(app, *shared);
@@ -91,6 +92,7 @@ Measurement run_mm(const apps::MmConfig& app, const ExperimentConfig& cfg,
 Measurement run_sor(const apps::SorConfig& app, const ExperimentConfig& cfg,
                     Trace* trace) {
   auto cc = apps::sor_cluster_config(app, cfg.slaves, cfg.lb);
+  cc.use_master = cfg.balance;
   RunParts parts(cfg, std::move(cc));
   auto shared = std::make_shared<apps::SorShared>();
   apps::sor_make_inputs(app, *shared);
@@ -101,6 +103,7 @@ Measurement run_sor(const apps::SorConfig& app, const ExperimentConfig& cfg,
 Measurement run_lu(const apps::LuConfig& app, const ExperimentConfig& cfg,
                    Trace* trace) {
   auto cc = apps::lu_cluster_config(app, cfg.slaves, cfg.lb);
+  cc.use_master = cfg.balance;
   RunParts parts(cfg, std::move(cc));
   auto shared = std::make_shared<apps::LuShared>();
   apps::lu_make_inputs(app, *shared);

@@ -46,6 +46,8 @@ struct Measurement {
 
 struct ExperimentConfig {
   int slaves = 4;
+  /// False runs the static program: the same slaves with no master.
+  bool balance = true;
   lb::LbConfig lb;
   sim::WorldConfig world;
   std::vector<LoadSpec> loads;

@@ -69,7 +69,11 @@ int record(const nowlb::Cli& cli) {
                  least);
     return 2;
   }
-  const bool balance = !cli.get_bool("no-balance", false);
+  nowlb::exp::ExperimentConfig cfg =
+      nowlb::exp::config(w, static_cast<int>(slaves));
+  cfg.world.seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<long long>(cfg.world.seed)));
+  cfg.balance = !cli.get_bool("no-balance", false);  // off: no master
   std::ofstream out(path);  // before the run, which may take long
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -77,13 +81,8 @@ int record(const nowlb::Cli& cli) {
   }
 
   nowlb::obs::Observability hub;
-  nowlb::exp::ExperimentConfig cfg =
-      nowlb::exp::config(w, static_cast<int>(slaves));
-  cfg.world.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<long long>(cfg.world.seed)));
   cfg.obs = &hub;
-  // --no-balance runs the static program: no master, no agents.
-  const nowlb::exp::Measurement m = nowlb::exp::run(w, balance, cfg);
+  const nowlb::exp::Measurement m = nowlb::exp::run(w, cfg);
 
   auto fmt = [](double v) {
     char buf[64];
@@ -96,7 +95,7 @@ int record(const nowlb::Cli& cli) {
       {"n", std::to_string(w.n)},
       {"slaves", std::to_string(slaves)},
       {"seed", std::to_string(cfg.world.seed)},
-      {"balance", balance ? "on" : "off"},
+      {"balance", cfg.balance ? "on" : "off"},
       {"elapsed_s", fmt(m.elapsed_s)},
       {"speedup", fmt(m.speedup)},
       {"efficiency", fmt(m.efficiency)},  // the paper's §5.1 metric
@@ -110,7 +109,7 @@ int record(const nowlb::Cli& cli) {
   std::printf(
       "recorded %s: %s n=%d slaves=%lld balance=%s elapsed=%.3fs "
       "efficiency=%.3f (%zu events, %zu ledger rounds)\n",
-      path.c_str(), fig->name, w.n, slaves, balance ? "on" : "off",
+      path.c_str(), fig->name, w.n, slaves, cfg.balance ? "on" : "off",
       m.elapsed_s, m.efficiency, hub.trace.events().size(),
       hub.ledger.records().size());
   return 0;
@@ -351,10 +350,10 @@ int main(int argc, char** argv) {
                  format.c_str());
     return 2;
   }
+  const auto top_k = static_cast<std::size_t>(cli.get_int("top", 5));
   LoadedRun run;
   if (!load(cli.get("report", ""), run)) return 1;
   const CausalGraph g = nowlb::obs::build_causal_graph(run.trace, run.ledger);
-  const auto top_k = static_cast<std::size_t>(cli.get_int("top", 5));
 
   if (cli.has("diff")) return diff(run, g, cli.get("diff", ""));
   if (format == "text") {

@@ -6,27 +6,24 @@ namespace nowlb::exp {
 
 namespace {
 
-apps::MmConfig mm_config(const Workload& w, bool use_lb) {
+apps::MmConfig mm_config(const Workload& w) {
   apps::MmConfig mm;
   mm.n = w.n;
   mm.repeats = w.outer;
-  mm.use_lb = use_lb;
   return mm;
 }
 
-apps::SorConfig sor_config(const Workload& w, bool use_lb) {
+apps::SorConfig sor_config(const Workload& w) {
   apps::SorConfig sor;
   sor.n = w.n;
   sor.sweeps = w.outer;
   sor.block_rows = w.block_rows;
-  sor.use_lb = use_lb;
   return sor;
 }
 
-apps::LuConfig lu_config(const Workload& w, bool use_lb) {
+apps::LuConfig lu_config(const Workload& w) {
   apps::LuConfig lu;
   lu.n = w.n;
-  lu.use_lb = use_lb;
   return lu;
 }
 
@@ -53,15 +50,15 @@ ExperimentConfig config(const Workload& w, int slaves) {
   return cfg;
 }
 
-Measurement run(const Workload& w, bool use_lb, const ExperimentConfig& cfg,
+Measurement run(const Workload& w, const ExperimentConfig& cfg,
                 Trace* trace) {
   switch (w.app) {
     case apps::App::kMm:
-      return run_mm(mm_config(w, use_lb), cfg, trace);
+      return run_mm(mm_config(w), cfg, trace);
     case apps::App::kSor:
-      return run_sor(sor_config(w, use_lb), cfg, trace);
+      return run_sor(sor_config(w), cfg, trace);
     case apps::App::kLu:
-      return run_lu(lu_config(w, use_lb), cfg, trace);
+      return run_lu(lu_config(w), cfg, trace);
   }
   return {};
 }
@@ -69,11 +66,11 @@ Measurement run(const Workload& w, bool use_lb, const ExperimentConfig& cfg,
 double seq_time_s(const Workload& w) {
   switch (w.app) {
     case apps::App::kMm:
-      return apps::mm_seq_time_s(mm_config(w, false));
+      return apps::mm_seq_time_s(mm_config(w));
     case apps::App::kSor:
-      return apps::sor_seq_time_s(sor_config(w, false));
+      return apps::sor_seq_time_s(sor_config(w));
     case apps::App::kLu:
-      return apps::lu_seq_time_s(lu_config(w, false));
+      return apps::lu_seq_time_s(lu_config(w));
   }
   return 0;
 }

@@ -30,8 +30,8 @@ struct Workload {
 /// paper_world() and paper_lb() on `slaves` slaves, plus the load.
 ExperimentConfig config(const Workload& w, int slaves);
 
-/// Run `w` statically or with dynamic load balancing.
-Measurement run(const Workload& w, bool use_lb, const ExperimentConfig& cfg,
+/// Run `w`, balanced or static as `cfg.balance` says.
+Measurement run(const Workload& w, const ExperimentConfig& cfg,
                 Trace* trace = nullptr);
 
 /// The sequential execution time speedup and efficiency are taken against.

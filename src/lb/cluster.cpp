@@ -7,7 +7,7 @@
 namespace nowlb::lb {
 
 Cluster::Cluster(sim::World& world, ClusterConfig cfg)
-    : world_(world), cfg_(std::move(cfg)), stats_(std::make_shared<MasterStats>()) {
+    : world_(world), cfg_(std::move(cfg)) {
   NOWLB_CHECK(cfg_.slaves > 0);
   NOWLB_CHECK(static_cast<int>(cfg_.initial_counts.size()) == cfg_.slaves,
               "initial_counts must have one entry per slave");
@@ -33,14 +33,7 @@ void Cluster::spawn(SlaveBody body) {
   if (!cfg_.use_master) return;
   master_pid_ = world_.spawn(
       *master_host_, "master", [this](sim::Context& ctx) -> sim::Task<> {
-        MasterConfig mc;
-        mc.slaves = slave_pids_;
-        mc.initial_counts = cfg_.initial_counts;
-        mc.phases = cfg_.phases;
-        mc.termination = cfg_.termination;
-        mc.lb = cfg_.lb;
-        mc.stats = stats_;
-        Master master(ctx, mc);
+        Master master(ctx, cfg_, slave_pids_, stats_);
         co_await master.run();
       });
 }

@@ -1,5 +1,6 @@
 // Cluster: wires one master + N slaves (one workstation each) into a World,
 // handling pid bookkeeping, master spawning, and competing-load attachment.
+// The run it wires is the one its ClusterConfig (lb/master.hpp) describes.
 //
 // Usage:
 //   lb::Cluster cluster(world, ccfg);
@@ -10,7 +11,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "lb/config.hpp"
@@ -19,19 +19,6 @@
 #include "sim/world.hpp"
 
 namespace nowlb::lb {
-
-struct ClusterConfig {
-  int slaves = 4;
-  int phases = 1;
-  Termination termination = Termination::kPhases;
-  LbConfig lb;
-  /// Per-rank work units. Fault recovery expects the census to name them
-  /// by the ids 0 .. sum - 1.
-  std::vector<int> initial_counts;
-  /// False: spawn no master (static distribution, zero balancing overhead
-  /// — the paper's plain "parallel execution" baseline).
-  bool use_master = true;
-};
 
 class Cluster {
  public:
@@ -59,7 +46,8 @@ class Cluster {
   const std::vector<sim::Pid>& slave_pids() const { return slave_pids_; }
   sim::Pid slave_pid(int rank) const { return slave_pids_.at(rank); }
   sim::Pid master_pid() const { return master_pid_; }
-  const MasterStats& stats() const { return *stats_; }
+  /// All zero when the run has no master.
+  const MasterStats& stats() const { return stats_; }
   const ClusterConfig& config() const { return cfg_; }
 
   /// Build a configured SlaveAgent for `rank` (inside its process body).
@@ -74,7 +62,7 @@ class Cluster {
   std::vector<sim::Pid> slave_pids_;
   std::vector<std::vector<sim::Pid>> load_pids_;
   sim::Pid master_pid_ = sim::kAnyPid;
-  std::shared_ptr<MasterStats> stats_;
+  MasterStats stats_;
   bool spawned_ = false;
 };
 

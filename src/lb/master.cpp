@@ -14,16 +14,18 @@ using sim::Task;
 using sim::Time;
 using sim::to_seconds;
 
-Master::Master(sim::Context& ctx, MasterConfig cfg)
+Master::Master(sim::Context& ctx, ClusterConfig cfg,
+               std::vector<sim::Pid> slave_pids, MasterStats& stats)
     : ctx_(ctx),
       cfg_(std::move(cfg)),
+      slave_pids_(std::move(slave_pids)),
       events_(ctx, cfg_.lb.check),
-      nslaves_(static_cast<int>(cfg_.slaves.size())),
+      nslaves_(static_cast<int>(slave_pids_.size())),
       freq_(cfg_.lb, ctx.world().config().host.quantum),
       move_cost_per_unit_s_(to_seconds(cfg_.lb.initial_move_cost)),
-      stats_(cfg_.stats ? *cfg_.stats : local_stats_) {
+      stats_(stats) {
   NOWLB_CHECK(nslaves_ > 0, "master needs at least one slave");
-  NOWLB_CHECK(cfg_.initial_counts.size() == cfg_.slaves.size(),
+  NOWLB_CHECK(cfg_.initial_counts.size() == slave_pids_.size(),
               "initial_counts size mismatch");
   filters_.assign(nslaves_, TrendFilter());
   rates_.assign(nslaves_, 0.0);
@@ -45,7 +47,7 @@ Master::Master(sim::Context& ctx, MasterConfig cfg)
 
 int Master::rank_of(sim::Pid pid) const {
   for (int r = 0; r < nslaves_; ++r) {
-    if (cfg_.slaves[r] == pid) return r;
+    if (slave_pids_[r] == pid) return r;
   }
   NOWLB_CHECK(false, "report from unknown pid " << pid);
   return -1;
@@ -388,7 +390,7 @@ Task<> Master::send_instructions(int round, bool phase_done,
 
 Task<> Master::send_instr(int rank, Instructions ins, int decision_round) {
   events_.emit(InstructionsSent{rank, ins, decision_round});
-  co_await transport_->send(cfg_.slaves[rank], kTagInstr, msg::encode(ins));
+  co_await transport_->send(slave_pids_[rank], kTagInstr, msg::encode(ins));
 }
 
 void Master::attach_ft(Instructions& ins, int rank) {
@@ -416,10 +418,10 @@ void Master::evict(int rank) {
   ft_sync_pending_ = true;
   ++stats_.evictions;
   events_.emit(RankEvicted{rank});
-  transport_->blackhole(cfg_.slaves[rank]);
+  transport_->blackhole(slave_pids_[rank]);
   // Forget any early report the dead rank stashed before crashing.
   std::erase_if(stashed_, [&](const auto& e) {
-    return e.first == cfg_.slaves[rank];
+    return e.first == slave_pids_[rank];
   });
 }
 

@@ -9,7 +9,7 @@
 // send/receive cost.
 //
 // The master's control loop mirrors the slaves' phase structure (§4.1):
-// MasterConfig.phases is the number of distributed-loop invocations the
+// ClusterConfig.phases is the number of distributed-loop invocations the
 // generated program performs, so master and slaves execute the same number
 // of balancing phases and terminate together.
 #pragma once
@@ -68,13 +68,19 @@ enum class Termination {
   kDoneFlags,
 };
 
-struct MasterConfig {
-  std::vector<sim::Pid> slaves;     // slave pids in rank order
-  std::vector<int> initial_counts;  // initial work distribution per rank
-  int phases = 1;                   // distributed-loop invocations
+/// One run of the generated program: the master, every slave agent, the
+/// experiment harness and the fuzzer's checkers all read it.
+struct ClusterConfig {
+  int slaves = 4;
+  int phases = 1;  // distributed-loop invocations
   Termination termination = Termination::kPhases;
   LbConfig lb;
-  std::shared_ptr<MasterStats> stats;  // optional
+  /// Per-rank work units. Fault recovery expects the census to name them
+  /// by the ids 0 .. sum - 1.
+  std::vector<int> initial_counts;
+  /// False: spawn no master; every slave agent then runs the static
+  /// program (the paper's plain "parallel execution" baseline).
+  bool use_master = true;
 };
 
 /// Work units a rank completes before the first balance of each phase,
@@ -87,7 +93,10 @@ inline double first_window_units(int initial_count) {
 
 class Master {
  public:
-  Master(sim::Context& ctx, MasterConfig cfg);
+  /// `slave_pids` holds cfg.slaves pids in rank order; `stats` must
+  /// outlive the run.
+  Master(sim::Context& ctx, ClusterConfig cfg,
+         std::vector<sim::Pid> slave_pids, MasterStats& stats);
 
   /// The master process body: run all phases to completion.
   sim::Task<> run();
@@ -137,7 +146,8 @@ class Master {
   int rank_of(sim::Pid pid) const;
 
   sim::Context& ctx_;
-  MasterConfig cfg_;
+  ClusterConfig cfg_;
+  std::vector<sim::Pid> slave_pids_;  // rank order
   Observers events_;
   /// Reports that arrived one round early (an idle slave can start round
   /// r+1 while slower slaves are still in round r); keyed implicitly by
@@ -151,7 +161,6 @@ class Master {
   std::vector<bool> measured_;     // rank has produced an informative window
   FrequencyController freq_;
   double move_cost_per_unit_s_;
-  MasterStats local_stats_;
   MasterStats& stats_;
 
   // ---- fault tolerance (DESIGN.md §9) ----

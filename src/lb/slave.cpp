@@ -152,6 +152,7 @@ Task<> SlaveAgent::handle_ft(const Instructions& ins) {
 }
 
 Task<> SlaveAgent::hook() {
+  if (!balancing()) co_return;
   // Opportunistically integrate moved work that has already arrived.
   if (!pending_recvs_.empty()) co_await poll_pending();
 
@@ -198,7 +199,9 @@ Task<Instructions> SlaveAgent::recv_instr() {
 Task<> SlaveAgent::drain() {
   // The phase can end inside hook() (a synchronous balance on the phase's
   // last unit gets phase_done as its reply); a report sent past that point
-  // would never be answered.
+  // would never be answered. Without a master no work can arrive, so the
+  // local work is the phase.
+  if (!balancing()) phase_done_ = true;
   if (phase_done_) co_return;
   // Out of local work. Incoming transfers are the most likely source of
   // more; block on those first.
@@ -228,6 +231,7 @@ Task<> SlaveAgent::drain() {
 }
 
 Task<> SlaveAgent::finalize() {
+  if (!balancing()) co_return;
   // Settle the outstanding instruction: in done-flag mode the master
   // answers every non-final report, and its orders may have peers blocked
   // on transfers from us.
@@ -307,6 +311,7 @@ Task<> SlaveAgent::accept_move(sim::Message m) {
 }
 
 Task<> SlaveAgent::accept_runtime(sim::Message m) {
+  NOWLB_CHECK(balancing(), "runtime message without balancer");
   if (m.tag == kTagMove) {
     co_await accept_move(std::move(m));
     co_return;

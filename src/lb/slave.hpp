@@ -13,6 +13,12 @@
 // Work movement is delegated to application-specific WorkOps — the
 // gather/scatter (and pipeline catch-up) code a parallelizing compiler
 // generates for the application's data layout.
+//
+// An agent built with no master pid (sim::kAnyPid) never balances: hook()
+// and finalize() return at once and drain() ends the phase, so it sends
+// nothing, schedules nothing and charges no CPU. The static program — the
+// paper's plain parallel execution of the same loops — is the generated
+// program with such an agent.
 #pragma once
 
 #include <cstdint>
@@ -113,6 +119,7 @@ class SlaveAgent {
     std::int32_t round = 0;
   };
 
+  bool balancing() const { return master_ != sim::kAnyPid; }
   bool balance_due() const { return units_since_ >= until_next_; }
   sim::Task<> send_report();
   sim::Task<> handle_instr(const Instructions& ins);

@@ -246,7 +246,7 @@ double obs_overhead(const BenchOptions&,
     exp::ExperimentConfig cfg = exp::config(mm, 4);
     cfg.obs = hub;
     const double t0 = wall_seconds();
-    const exp::Measurement m = exp::run(mm, /*use_lb=*/true, cfg);
+    const exp::Measurement m = exp::run(mm, cfg);
     return std::make_pair(wall_seconds() - t0, m.dispatched_events);
   };
   // A single reduced run is sub-millisecond; amortize the ratio over

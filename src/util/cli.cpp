@@ -1,11 +1,26 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 namespace nowlb {
+
+namespace {
+
+/// A value that does not parse whole must not fall back to a default or
+/// to its numeric prefix: print it the way an unknown flag is printed.
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  std::fprintf(stderr, "bad value --%s=%s: expected %s (see --help)\n",
+               name.c_str(), value.c_str(), expected);
+  std::exit(2);
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv, std::vector<std::string> flags,
          std::string usage)
@@ -52,18 +67,37 @@ std::string Cli::get(const std::string& name,
 
 long long Cli::get_int(const std::string& name, long long fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::atoll(it->second.c_str());
+  if (it == flags_.end()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    bad_value(name, it->second, "an integer");
+  }
+  return v;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::atof(it->second.c_str());
+  if (it == flags_.end()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    bad_value(name, it->second, "a finite number");
+  }
+  return v;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  bad_value(name, v, "true, false, 1, 0, yes or no");
 }
 
 }  // namespace nowlb

@@ -4,7 +4,10 @@
 // positional. Each binary declares its flags: any other `--flag` prints an
 // error naming it and exits 2, and `--help` prints the usage text (or a
 // list generated from the declared flags) and exits 0, both before the
-// binary does any work.
+// binary does any work. A value that get_int, get_double or get_bool
+// cannot read whole (an integer; a finite number; true, false, 1, 0, yes
+// or no) also prints the flag and exits 2; each binary reads its values
+// before it starts any work.
 #pragma once
 
 #include <map>

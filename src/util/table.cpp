@@ -67,20 +67,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : cells_) emit_row(r);
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      if (c) os << ',';
-      os << r[c];
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : cells_) emit(r);
-  return os.str();
-}
-
 std::string ascii_chart(const std::vector<double>& t,
                         const std::vector<double>& v, int width, int height,
                         const std::string& label) {

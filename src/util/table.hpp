@@ -1,4 +1,4 @@
-// Aligned-text table and CSV emitters for bench output.
+// Aligned-text table and ASCII chart printers for bench output.
 //
 // Every bench binary prints the rows the paper's tables/figures report; the
 // Table type keeps that output uniform and machine-greppable.
@@ -31,7 +31,6 @@ class Table {
   Table& cell_pm(double mean, double halfwidth, int precision = 2);
 
   void print(std::ostream& os) const;
-  std::string to_csv() const;
 
   std::size_t rows() const { return cells_.size(); }
 

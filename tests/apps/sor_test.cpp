@@ -36,11 +36,13 @@ struct SorOutcome {
 
 SorOutcome run_sor(const SorConfig& cfg, int slaves,
                    const std::vector<int>& loaded = {},
-                   lb::LbConfig lbc = test_lb()) {
+                   lb::LbConfig lbc = test_lb(), bool balance = true) {
   sim::World w(test_world_config());
   auto shared = std::make_shared<SorShared>();
   sor_make_inputs(cfg, *shared);
-  lb::Cluster cluster(w, sor_cluster_config(cfg, slaves, lbc));
+  lb::ClusterConfig cc = sor_cluster_config(cfg, slaves, lbc);
+  cc.use_master = balance;
+  lb::Cluster cluster(w, cc);
   sor_build(cluster, cfg, shared);
   for (int rank : loaded) {
     cluster.add_load(rank, [](sim::Context& ctx) -> sim::Task<> {
@@ -160,9 +162,8 @@ TEST(Sor, LoadBalancingHelpsUnderLoad) {
   cfg.sweeps = 6;
   cfg.update_cost = sim::kMillisecond;
   auto with_dlb = run_sor(cfg, 4, /*loaded=*/{0});
-  SorConfig static_cfg = cfg;
-  static_cfg.use_lb = false;
-  auto static_run = run_sor(static_cfg, 4, /*loaded=*/{0});
+  auto static_run =
+      run_sor(cfg, 4, /*loaded=*/{0}, test_lb(), /*balance=*/false);
   // Dynamic balancing must clearly beat the static distribution when one
   // workstation is shared (Fig. 8's shape).
   EXPECT_LT(with_dlb.makespan_s, static_run.makespan_s * 0.90);

@@ -79,9 +79,9 @@ TEST(Harness, RepeatAccumulatesStatistics) {
 }
 
 TEST(Harness, StaticRunHasNoMasterStats) {
-  auto mm = small_mm();
-  mm.use_lb = false;
-  auto m = run_mm(mm, small_cfg(3));
+  auto cfg = small_cfg(3);
+  cfg.balance = false;
+  auto m = run_mm(small_mm(), cfg);
   EXPECT_EQ(m.stats.rounds, 0);
   EXPECT_GT(m.speedup, 2.5);
 }

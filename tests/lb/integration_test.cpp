@@ -33,7 +33,7 @@ struct Scenario {
   // grain-size rule (blocks >= 1.5 quanta) so rate windows measure cleanly.
   Time unit_cost = 50 * kMillisecond;
   int phases = 1;
-  bool use_lb = true;
+  bool balance = true;  // false: the static program, with no master
   LbConfig lb;
   std::vector<int> loaded_ranks;       // ranks with an infinite competing task
 };
@@ -59,13 +59,14 @@ RunResult run_scenario(const Scenario& sc) {
   RunResult result;
   result.units_computed.assign(n, 0);
   result.received_from.assign(n * n, 0);
-  auto stats = std::make_shared<MasterStats>();
 
   std::vector<Pid> slave_pids(n);
   std::iota(slave_pids.begin(), slave_pids.end(), 0);
   // Pids follow spawn order: slaves 0..n-1, then load generators, then the
-  // master.
-  const Pid master_pid = n + static_cast<Pid>(sc.loaded_ranks.size());
+  // master. The static program's agents have no master.
+  const Pid master_pid = sc.balance
+                             ? n + static_cast<Pid>(sc.loaded_ranks.size())
+                             : sim::kAnyPid;
 
   // Work state per rank lives in the test scope so the closures in WorkOps
   // can reference it beyond the spawn call.
@@ -89,18 +90,6 @@ RunResult run_scenario(const Scenario& sc) {
                 result.received_from[rank * n + peer] += c;
                 co_return c;
               };
-              if (!sc.use_lb) {
-                while (units[rank] * sc.phases > 0) {
-                  for (int phase = 0; phase < sc.phases; ++phase) {
-                    for (int u = sc.initial[rank]; u > 0; --u) {
-                      co_await ctx.compute(sc.unit_cost);
-                      ++result.units_computed[rank];
-                    }
-                  }
-                  break;
-                }
-                co_return;
-              }
               SlaveAgent agent(
                   ctx, master_pid, rank, slave_pids, sc.lb, ops,
                   std::max(1.0, 0.25 * sc.initial[rank]));
@@ -131,23 +120,21 @@ RunResult run_scenario(const Scenario& sc) {
             /*essential=*/false);
   }
 
-  if (sc.use_lb) {
+  if (sc.balance) {
     auto& mh = w.add_host();
-    w.spawn(mh, "master", [&, stats](Context& ctx) -> Task<> {
-      MasterConfig mc;
-      mc.slaves = slave_pids;
-      mc.initial_counts = sc.initial;
-      mc.phases = sc.phases;
-      mc.lb = sc.lb;
-      mc.stats = stats;
-      Master m(ctx, mc);
+    w.spawn(mh, "master", [&](Context& ctx) -> Task<> {
+      ClusterConfig cc;
+      cc.slaves = n;
+      cc.phases = sc.phases;
+      cc.lb = sc.lb;
+      cc.initial_counts = sc.initial;
+      Master m(ctx, cc, slave_pids, result.stats);
       co_await m.run();
     });
   }
 
   w.run();
   result.makespan_s = sim::to_seconds(w.now());
-  result.stats = *stats;
   return result;
 }
 
@@ -173,7 +160,7 @@ TEST(LbIntegration, OverheadIsSmallInDedicatedSystem) {
   auto r_with = run_scenario(with);
 
   Scenario without = with;
-  without.use_lb = false;
+  without.balance = false;
   auto r_without = run_scenario(without);
 
   EXPECT_EQ(total(r_with.units_computed), total(r_without.units_computed));
@@ -203,7 +190,7 @@ TEST(LbIntegration, LoadBalancingBeatsStaticOnLoadedSystem) {
 
   auto with = run_scenario(base);
   Scenario static_sc = base;
-  static_sc.use_lb = false;
+  static_sc.balance = false;
   auto without = run_scenario(static_sc);
 
   // Static: the loaded slave takes ~2x its dedicated time (10 s) and

@@ -87,7 +87,7 @@ TEST(DecisionLedger, OneRecordPerRoundInHarnessRuns) {
     exp::ExperimentConfig cfg = exp::config(mm, 4);
     cfg.lb.pipelined = pipelined;
     cfg.obs = &hub;
-    const exp::Measurement m = exp::run(mm, /*use_lb=*/true, cfg);
+    const exp::Measurement m = exp::run(mm, cfg);
     EXPECT_EQ(hub.ledger.records().size(),
               static_cast<std::size_t>(m.stats.rounds))
         << "pipelined=" << pipelined;

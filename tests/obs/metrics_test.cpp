@@ -149,7 +149,7 @@ TEST(MetricsRegistry, SnapshotsAreDeterministicAcrossIdenticalRuns) {
     exp::ExperimentConfig cfg = exp::config(mm, 3);
     cfg.world.seed = 1234;
     cfg.obs = &hub;
-    exp::run(mm, /*use_lb=*/true, cfg);
+    exp::run(mm, cfg);
     return hub.metrics.prometheus_text();
   };
   const std::string a = run();

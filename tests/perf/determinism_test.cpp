@@ -3,11 +3,11 @@
 // Two guarantees are pinned here, and together they license every host-side
 // optimization in sim/msg/lb/data:
 //
-//   1. Run-to-run: each exp::figures() entry (4 slaves, balancing on) and
-//      each fuzz case below, run twice plus once with the flight recorder
-//      attached, produces bit-identical results: every Measurement field,
-//      engine trace hash and dispatched-event count included. Observation
-//      must never perturb the simulation.
+//   1. Run-to-run: each exp::figures() entry (4 slaves, balanced and
+//      static) and each fuzz case below, run twice plus once with the
+//      flight recorder attached, produces bit-identical results: every
+//      Measurement field, engine trace hash and dispatched-event count
+//      included. Observation must never perturb the simulation.
 //   2. Cross-version: the fingerprints equal golden constants captured
 //      before the allocation/batching optimizations landed. An optimization
 //      that changes any virtual-time event ordering — rather than just host
@@ -23,6 +23,7 @@
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "check/scenario.hpp"
 #include "exp/registry.hpp"
@@ -33,6 +34,7 @@ namespace {
 
 struct FigureGolden {
   const char* name;
+  bool balance;  // false: the static program, with no master
   std::uint64_t trace_hash;
   std::uint64_t dispatched_events;
 };
@@ -40,15 +42,24 @@ struct FigureGolden {
 // gtest prints a parameter through PrintTo, and ctest names each case
 // after that text; without one it dumps the struct's bytes, pointer
 // included, and the names change with every build.
-void PrintTo(const FigureGolden& g, std::ostream* os) { *os << g.name; }
+void PrintTo(const FigureGolden& g, std::ostream* os) {
+  *os << g.name << (g.balance ? "" : ".static");
+}
 
-// Captured pre-optimization; see file comment.
+// Captured pre-optimization; see file comment. The static goldens pin the
+// static program: its masterless agents must schedule exactly what the same
+// loop with no agent would.
 constexpr FigureGolden kFigureGoldens[] = {
-    {"fig5.mm_dedicated", 0x6bb90cf2543d1ed5ull, 5241},
-    {"fig6.sor_dedicated", 0x42721f23808a194cull, 14659},
-    {"fig7.mm_loaded", 0x3271a830d0842406ull, 4595},
-    {"fig8.sor_loaded", 0x7b6f921ce6e2c034ull, 18239},
-    {"fig9.mm_oscillating", 0x4840d57dc1d349full, 16985},
+    {"fig5.mm_dedicated", true, 0x6bb90cf2543d1ed5ull, 5241},
+    {"fig6.sor_dedicated", true, 0x42721f23808a194cull, 14659},
+    {"fig7.mm_loaded", true, 0x3271a830d0842406ull, 4595},
+    {"fig8.sor_loaded", true, 0x7b6f921ce6e2c034ull, 18239},
+    {"fig9.mm_oscillating", true, 0x4840d57dc1d349full, 16985},
+    {"fig5.mm_dedicated", false, 0xa5f555cd97ef4865ull, 2504},
+    {"fig6.sor_dedicated", false, 0x465901763dbdfefeull, 10314},
+    {"fig7.mm_loaded", false, 0xd513f3d27839b1a5ull, 3129},
+    {"fig8.sor_loaded", false, 0x23f7b74bf52c225ull, 12120},
+    {"fig9.mm_oscillating", false, 0xfaefc12a04c39ccull, 8179},
 };
 
 /// One representative seed per app, fault-free, and one MM seed under
@@ -94,28 +105,36 @@ TEST_P(FigureDeterminism, RepeatAndObsRunsAreBitIdentical) {
   ASSERT_NE(fig, nullptr) << g.name << " missing from exp::figures()";
 
   const exp::Workload& w = fig->workload;
-  const exp::ExperimentConfig bare = exp::config(w, 4);
+  exp::ExperimentConfig bare = exp::config(w, 4);
+  bare.balance = g.balance;
   exp::ExperimentConfig recorded = bare;
   obs::Observability hub;
   recorded.obs = &hub;
-  const exp::Measurement a = exp::run(w, /*use_lb=*/true, bare);
-  const exp::Measurement b = exp::run(w, /*use_lb=*/true, bare);
-  const exp::Measurement c = exp::run(w, /*use_lb=*/true, recorded);
+  const exp::Measurement a = exp::run(w, bare);
+  const exp::Measurement b = exp::run(w, bare);
+  const exp::Measurement c = exp::run(w, recorded);
 
   // Run-to-run, and with the flight recorder attached.
   EXPECT_EQ(fields(a), fields(b));
   EXPECT_EQ(fields(a), fields(c)) << "obs recording perturbed the run";
 
-  // The recorder actually recorded (it was attached, not ignored).
-  EXPECT_GT(hub.ledger.records().size(), 0u);
+  // The recorder actually recorded (it was attached, not ignored); only a
+  // balanced run has rounds to put in the ledger.
+  EXPECT_GT(hub.trace.events().size(), 0u);
+  EXPECT_EQ(hub.ledger.records().empty(), !g.balance);
 
   // Cross-version goldens: host-side optimizations must not shift these.
   EXPECT_TRUE(a.trace_hash == g.trace_hash &&
               a.dispatched_events == g.dispatched_events)
       << g.name << ": the event schedule changed; if intended, its golden "
-      << "is now {\"" << g.name << "\", 0x" << std::hex << a.trace_hash
-      << "ull, " << std::dec << a.dispatched_events << "}";
-  EXPECT_GT(a.stats.rounds, 0);
+      << "is now {\"" << g.name << "\", " << std::boolalpha << g.balance
+      << ", 0x" << std::hex << a.trace_hash << "ull, " << std::dec
+      << a.dispatched_events << "}";
+  if (g.balance) {
+    EXPECT_GT(a.stats.rounds, 0);
+  } else {
+    EXPECT_EQ(a.stats.rounds, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Figures, FigureDeterminism,
@@ -150,14 +169,18 @@ TEST_P(FuzzDeterminism, RepeatAndObsRunsAreBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(FuzzClasses, FuzzDeterminism,
                          ::testing::ValuesIn(kFuzzGoldens));
 
-// Every figure the registry declares has a golden, and every golden names
-// a figure: adding a figure without pinning it fails here.
+// Every figure the registry declares has a balanced and a static golden,
+// and every golden names a figure: adding a figure without pinning it
+// fails here.
 TEST(DeterminismCoverage, GoldensMatchScenarioList) {
-  std::map<std::string, int> names;
-  for (const exp::Figure& f : exp::figures()) names[f.name]++;
-  for (const FigureGolden& g : kFigureGoldens) names[g.name]--;
-  for (const auto& [name, delta] : names) {
-    EXPECT_EQ(delta, 0) << name << " lacks a golden or a figure";
+  std::map<std::pair<std::string, bool>, int> names;
+  for (const exp::Figure& f : exp::figures()) {
+    for (const bool balance : {true, false}) names[{f.name, balance}]++;
+  }
+  for (const FigureGolden& g : kFigureGoldens) names[{g.name, g.balance}]--;
+  for (const auto& [key, delta] : names) {
+    EXPECT_EQ(delta, 0) << key.first << (key.second ? "" : " (static)")
+                        << " lacks a golden or a figure";
   }
 }
 

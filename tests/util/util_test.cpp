@@ -86,13 +86,6 @@ TEST(Table, AlignsAndPrints) {
   EXPECT_NE(s.find("42"), std::string::npos);
 }
 
-TEST(Table, CsvRoundtrip) {
-  Table t("demo");
-  t.header({"a", "b"});
-  t.row().cell(1LL).cell(2LL);
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
-}
-
 TEST(Table, CellBeforeRowThrows) {
   Table t("demo");
   EXPECT_THROW(t.cell("x"), CheckFailure);
@@ -129,6 +122,24 @@ TEST(CliDeathTest, UnknownFlagExitsTwoNamingIt) {
   const char* argv[] = {"prog", "--n=5", "--bogus=1"};
   EXPECT_EXIT(Cli(3, argv, {"n"}), ::testing::ExitedWithCode(2),
               "unknown flag --bogus=1");
+}
+
+// A value that does not parse whole exits 2 and names the flag: it is
+// never read as 0, as its numeric prefix, or as false.
+TEST(CliDeathTest, MalformedValueExitsTwoNamingIt) {
+  const char* argv[] = {"prog", "--rate=O.15", "--n=40x",
+                        "--big=99999999999999999999", "--verbose=on",
+                        "--inf=inf"};
+  const Cli cli(6, argv, {"rate", "n", "big", "verbose", "inf"});
+  EXPECT_EXIT(cli.get_double("rate", 0.0), ::testing::ExitedWithCode(2),
+              "--rate=O.15");
+  EXPECT_EXIT(cli.get_int("n", 0), ::testing::ExitedWithCode(2), "--n=40x");
+  EXPECT_EXIT(cli.get_int("big", 0), ::testing::ExitedWithCode(2),
+              "--big=99999999999999999999");
+  EXPECT_EXIT(cli.get_bool("verbose", true), ::testing::ExitedWithCode(2),
+              "--verbose=on");
+  EXPECT_EXIT(cli.get_double("inf", 0.0), ::testing::ExitedWithCode(2),
+              "--inf=inf");
 }
 
 // --help prints the declared flags (or the given usage text) and exits 0
