@@ -38,8 +38,9 @@ constexpr int kMaxSlaves = 7;  // --max-slaves default
 struct Flags {
   const Cli& cli;
 
+  /// Every flag counts something, so each is at least 1.
   int get(const char* name, int fallback) const {
-    return static_cast<int>(cli.get_int(name, fallback));
+    return cli.get_int(name, fallback, 1);
   }
   /// `w` resized by --n, and by --sweeps for SOR.
   Workload sized(Workload w) const {
@@ -426,21 +427,18 @@ std::string usage() {
 }
 
 /// Whether every flag value suits the chosen experiments; if not, says
-/// which flag is out of range.
-bool values_ok(const Cli& cli, const std::vector<const Experiment*>& chosen) {
+/// which flag is out of range. A value no experiment can read exits 2
+/// here, before any run.
+bool values_ok(const Flags& flags,
+               const std::vector<const Experiment*>& chosen) {
   for (const char* flag : {"reps", "max-slaves", "n", "sweeps", "repeats"}) {
-    if (cli.get_int(flag, 1) < 1) {
-      std::cerr << "--" << flag << "=" << cli.get(flag, "")
-                << " must be a positive integer\n";
-      return false;
-    }
+    flags.get(flag, 1);  // exits 2 when out of range
   }
-  if (!cli.has("n")) return true;
-  const long long n = cli.get_int("n", 0);
+  if (!flags.cli.has("n")) return true;
+  const int n = flags.get("n", 0);
   for (const Experiment* e : chosen) {
-    const int slaves = e->slaves > 0 ? e->slaves
-                                     : static_cast<int>(cli.get_int(
-                                           "max-slaves", kMaxSlaves));
+    const int slaves =
+        e->slaves > 0 ? e->slaves : flags.get("max-slaves", kMaxSlaves);
     const int least = exp::min_n(e->app, slaves);
     if (n < least) {
       std::cerr << "--n=" << n << " is too small for " << e->name << ": "
@@ -456,7 +454,7 @@ bool values_ok(const Cli& cli, const std::vector<const Experiment*>& chosen) {
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv, {"reps", "max-slaves", "n", "sweeps", "repeats"},
-                usage());
+                usage(), /*positionals=*/true);
   std::vector<const Experiment*> chosen;
   for (const std::string& name : cli.positional()) {
     const auto it = std::find_if(
@@ -471,9 +469,8 @@ int main(int argc, char** argv) {
   if (chosen.empty()) {
     for (const Experiment& e : kExperiments) chosen.push_back(&e);
   }
-  if (!values_ok(cli, chosen)) return 2;
-
   const Flags flags{cli};
+  if (!values_ok(flags, chosen)) return 2;
   for (const Experiment* e : chosen) e->print(flags);
   return 0;
 }

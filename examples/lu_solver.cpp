@@ -19,15 +19,11 @@ using namespace nowlb;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv, {"n", "slaves"});
   apps::LuConfig lu;
-  lu.n = static_cast<int>(cli.get_int("n", 120));
+  lu.n = cli.get_int("n", 120);
   lu.real_compute = true;
   lu.update_cost = 200 * sim::kMicrosecond;
-  const int slaves = static_cast<int>(cli.get_int("slaves", 4));
-  if (slaves < 2) {
-    std::cerr << "--slaves=" << cli.get("slaves", "")
-              << " must be at least 2: the competing load runs on slave 1\n";
-    return 2;
-  }
+  // At least 2: the competing load runs on slave 1.
+  const int slaves = cli.get_int("slaves", 4, 2);
   const int least = exp::min_n(apps::App::kLu, slaves);
   if (lu.n < least) {
     std::cerr << "--n=" << lu.n << " is too small: LU on " << slaves

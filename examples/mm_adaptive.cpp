@@ -17,15 +17,10 @@ using namespace nowlb;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv, {"n", "slaves"});
   apps::MmConfig mm;
-  mm.n = static_cast<int>(cli.get_int("n", 500));
+  mm.n = cli.get_int("n", 500);
 
   exp::ExperimentConfig cfg;
-  cfg.slaves = static_cast<int>(cli.get_int("slaves", 6));
-  if (cfg.slaves < 1) {
-    std::cerr << "--slaves=" << cli.get("slaves", "")
-              << " must be a positive integer\n";
-    return 2;
-  }
+  cfg.slaves = cli.get_int("slaves", 6, 1);
   const int least = exp::min_n(apps::App::kMm, cfg.slaves);
   if (mm.n < least) {
     std::cerr << "--n=" << mm.n << " is too small: MM on " << cfg.slaves

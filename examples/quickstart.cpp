@@ -18,18 +18,8 @@ using namespace nowlb;
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv, {"slaves", "units"});
-  const int slaves = static_cast<int>(cli.get_int("slaves", 3));
-  const int total_units = static_cast<int>(cli.get_int("units", 120));
-  if (slaves < 1) {
-    std::cerr << "--slaves=" << cli.get("slaves", "")
-              << " must be a positive integer\n";
-    return 2;
-  }
-  if (total_units < 0) {
-    std::cerr << "--units=" << cli.get("units", "")
-              << " must be a non-negative integer\n";
-    return 2;
-  }
+  const int slaves = cli.get_int("slaves", 3, 1);
+  const int total_units = cli.get_int("units", 120, 0);
   const int units_per_slave = total_units / slaves;
 
   sim::World world;  // defaults: 100 ms quantum, 100 MB/s network

@@ -22,16 +22,11 @@ using namespace nowlb;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv, {"n", "sweeps", "slaves", "oscillate"});
   apps::SorConfig sor;
-  sor.n = static_cast<int>(cli.get_int("n", 2000));
-  sor.sweeps = static_cast<int>(cli.get_int("sweeps", 20));
+  sor.n = cli.get_int("n", 2000);
+  sor.sweeps = cli.get_int("sweeps", 20, 1);
 
   exp::ExperimentConfig cfg;
-  cfg.slaves = static_cast<int>(cli.get_int("slaves", 6));
-  if (cfg.slaves < 1) {
-    std::cerr << "--slaves=" << cli.get("slaves", "")
-              << " must be a positive integer\n";
-    return 2;
-  }
+  cfg.slaves = cli.get_int("slaves", 6, 1);
   const int least = exp::min_n(apps::App::kSor, cfg.slaves);
   if (sor.n < least) {
     std::cerr << "--n=" << sor.n << " is too small: SOR on " << cfg.slaves

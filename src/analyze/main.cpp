@@ -21,7 +21,8 @@ constexpr const char* kUsage =
 
 int main(int argc, char** argv) {
   using namespace nowlb::analyze;
-  const nowlb::Cli cli(argc, argv, {"root", "label", "list-rules"}, kUsage);
+  const nowlb::Cli cli(argc, argv, {"root", "label", "list-rules"}, kUsage,
+                       /*positionals=*/true);
   if (cli.has("list-rules")) {
     for (const auto& r : rule_catalog())
       std::printf("%s  %-20s %s\n", r.code, r.name, r.hint);

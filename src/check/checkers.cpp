@@ -399,10 +399,8 @@ void CrashInjector::on(sim::Time, const lb::Event& ev) {
 // ------------------------------------------------------------------ wiring
 
 void add_standard_checkers(InvariantSet& set, const lb::ClusterConfig& cfg) {
-  const bool lagged = cfg.termination == lb::Termination::kPhases &&
-                      cfg.lb.pipelined;
   set.add(std::make_unique<WorkConservationChecker>());
-  set.add(std::make_unique<PipelineLagChecker>(lagged ? 1 : 0));
+  set.add(std::make_unique<PipelineLagChecker>(lb::instruction_lag(cfg)));
   set.add(std::make_unique<SliceOwnershipChecker>(std::accumulate(
       cfg.initial_counts.begin(), cfg.initial_counts.end(), 0)));
   set.add(std::make_unique<EvictionChecker>());

@@ -71,11 +71,10 @@ class ContiguityChecker final : public Invariant {
 };
 
 /// Pipelining lag (Fig. 2). The master computes the instructions for round
-/// r + lag from round r's reports: lag is 1 in pipelined phase mode and 0
-/// in synchronous or done-flag (reply-style) mode. On the slave side an
-/// applied instruction's round is the slave's last report round, or one
-/// ahead of it (a pre-sent pipelined instruction caught by a wildcard
-/// receive) — never stale, never further ahead.
+/// r + lag from round r's reports, lag being the run's lb::instruction_lag.
+/// On the slave side an applied instruction's round is the slave's last
+/// report round, or one ahead of it (a pre-sent pipelined instruction
+/// caught by a wildcard receive) — never stale, never further ahead.
 class PipelineLagChecker final : public Invariant {
  public:
   explicit PipelineLagChecker(int lag) : lag_(lag) {}
@@ -196,8 +195,7 @@ class CrashInjector final : public Invariant {
 /// The full checker complement for the run `cfg` describes: conservation +
 /// pipeline lag + ownership + eviction + transport always (the fault
 /// checkers are no-ops in fault-free runs); contiguity only in
-/// restricted-movement mode. A done-flag master answers each report
-/// directly, so only a pipelined phase-counting run lags one round.
+/// restricted-movement mode.
 void add_standard_checkers(InvariantSet& set, const lb::ClusterConfig& cfg);
 
 }  // namespace nowlb::check

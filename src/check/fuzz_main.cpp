@@ -15,6 +15,7 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -159,12 +160,14 @@ int main(int argc, char** argv) {
   nowlb::check::FaultPlan plan;
   plan.drop_rate = cli.get_double("drop-rate", 0.0);
   plan.dup_rate = cli.get_double("dup-rate", 0.0);
-  plan.reorder_delay =
-      static_cast<nowlb::sim::Time>(cli.get_int("reorder-us", 0)) *
-      nowlb::sim::kMicrosecond;
+  // In nanoseconds the delay must still fit a sim::Time.
+  const auto reorder_us = cli.get_int<nowlb::sim::Time>(
+      "reorder-us", 0, 0,
+      std::numeric_limits<nowlb::sim::Time>::max() / nowlb::sim::kMicrosecond);
+  plan.reorder_delay = reorder_us * nowlb::sim::kMicrosecond;
   if (plan.drop_rate < 0 || plan.drop_rate >= 1 || plan.dup_rate < 0 ||
-      plan.dup_rate >= 1 || plan.reorder_delay < 0) {
-    std::fprintf(stderr, "fault rates must be in [0, 1), delays >= 0\n");
+      plan.dup_rate >= 1) {
+    std::fprintf(stderr, "fault rates must be in [0, 1)\n");
     return 2;
   }
   const std::string kill_flag = cli.get("kill-slave", "");
@@ -188,25 +191,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const long long seeds_int = cli.get_int("seeds", 50);
-  if (seeds_int <= 0) {
-    std::fprintf(stderr, "--seeds=%s must be a positive integer\n",
-                 cli.get("seeds", "").c_str());
-    return 2;
-  }
-  // Cast to unsigned, a negative seed wraps the seed loop's end: nothing
-  // would run, and the sweep would report a pass.
-  for (const char* flag : {"base", "seed"}) {
-    if (cli.get_int(flag, 1) < 0) {
-      std::fprintf(stderr, "--%s=%s must be a non-negative integer\n", flag,
-                   cli.get(flag, "").c_str());
-      return 2;
-    }
-  }
-  std::uint64_t base = static_cast<std::uint64_t>(cli.get_int("base", 1));
-  std::uint64_t nseeds = static_cast<std::uint64_t>(seeds_int);
+  // The sweep runs seeds base .. base + seeds - 1: the last must fit too.
+  std::uint64_t nseeds = cli.get_int<std::uint64_t>("seeds", 50, 1);
+  std::uint64_t base = cli.get_int<std::uint64_t>(
+      "base", 1, 0, std::numeric_limits<std::uint64_t>::max() - (nseeds - 1));
   if (cli.has("seed")) {
-    base = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    base = cli.get_int<std::uint64_t>("seed", 1);
     nseeds = 1;
   }
   const bool verbose = cli.get_bool("verbose", nseeds == 1);
@@ -228,7 +218,8 @@ int main(int argc, char** argv) {
 
   int runs = 0;
   std::vector<FailureRecord> failed;
-  for (std::uint64_t seed = base; seed < base + nseeds; ++seed) {
+  for (std::uint64_t i = 0; i < nseeds; ++i) {
+    const std::uint64_t seed = base + i;
     for (App app : apps) {
       Scenario sc = nowlb::check::generate_scenario(seed, app);
       if (plan.any()) nowlb::check::apply_fault_plan(sc, plan);

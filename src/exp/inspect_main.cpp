@@ -55,24 +55,17 @@ int record(const nowlb::Cli& cli) {
     return 2;
   }
   nowlb::exp::Workload w = fig->workload;
-  w.n = static_cast<int>(cli.get_int("n", w.n));
-  const long long slaves = cli.get_int("slaves", 4);
-  if (slaves < 1) {
-    std::fprintf(stderr, "--slaves=%s must be a positive integer\n",
-                 cli.get("slaves", "").c_str());
-    return 2;
-  }
-  const int least = nowlb::exp::min_n(w.app, static_cast<int>(slaves));
+  w.n = cli.get_int("n", w.n);
+  const int slaves = cli.get_int("slaves", 4, 1);
+  const int least = nowlb::exp::min_n(w.app, slaves);
   if (w.n < least) {
-    std::fprintf(stderr, "--n=%d is too small: %s on %lld slaves needs "
+    std::fprintf(stderr, "--n=%d is too small: %s on %d slaves needs "
                  "--n >= %d\n", w.n, nowlb::apps::app_name(w.app), slaves,
                  least);
     return 2;
   }
-  nowlb::exp::ExperimentConfig cfg =
-      nowlb::exp::config(w, static_cast<int>(slaves));
-  cfg.world.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<long long>(cfg.world.seed)));
+  nowlb::exp::ExperimentConfig cfg = nowlb::exp::config(w, slaves);
+  cfg.world.seed = cli.get_int("seed", cfg.world.seed);
   cfg.balance = !cli.get_bool("no-balance", false);  // off: no master
   std::ofstream out(path);  // before the run, which may take long
   if (!out) {
@@ -107,7 +100,7 @@ int record(const nowlb::Cli& cli) {
     return 2;
   }
   std::printf(
-      "recorded %s: %s n=%d slaves=%lld balance=%s elapsed=%.3fs "
+      "recorded %s: %s n=%d slaves=%d balance=%s elapsed=%.3fs "
       "efficiency=%.3f (%zu events, %zu ledger rounds)\n",
       path.c_str(), fig->name, w.n, slaves, cfg.balance ? "on" : "off",
       m.elapsed_s, m.efficiency, hub.trace.events().size(),
@@ -350,7 +343,7 @@ int main(int argc, char** argv) {
                  format.c_str());
     return 2;
   }
-  const auto top_k = static_cast<std::size_t>(cli.get_int("top", 5));
+  const auto top_k = cli.get_int<std::size_t>("top", 5);
   LoadedRun run;
   if (!load(cli.get("report", ""), run)) return 1;
   const CausalGraph g = nowlb::obs::build_causal_graph(run.trace, run.ledger);

@@ -54,13 +54,10 @@ int Master::rank_of(sim::Pid pid) const {
 }
 
 Task<> Master::run() {
-  if (cfg_.termination == Termination::kDoneFlags) {
-    co_await run_done_flags();
-  } else {
-    for (int phase = 0; phase < cfg_.phases; ++phase) {
-      co_await run_phase();
-    }
-  }
+  // A done-flag run is one phase that ends when every rank reports done.
+  const int phases =
+      cfg_.termination == Termination::kDoneFlags ? 1 : cfg_.phases;
+  for (int phase = 0; phase < phases; ++phase) co_await run_phase();
   // Linger until the final instructions are acked: returning destroys the
   // transport and its retransmit timers, and a still-dropped phase_done
   // would strand its slave forever.
@@ -68,70 +65,47 @@ Task<> Master::run() {
 }
 
 Task<> Master::run_phase() {
-  if (cfg_.lb.pipelined) {
+  const int lag = instruction_lag(cfg_);
+  if (lag > 0) {
     // Prime the pipeline: the instructions consumed at each slave's first
     // balance of this phase carry no movement (no rate data yet).
     ++round_;
-    for (int r = 0; r < nslaves_; ++r) {
-      if (!active_[r]) continue;
-      Instructions ins;
-      ins.round = round_;
-      ins.units_until_next =
-          rates_[r] > 0 ? freq_.units_for_period(rates_[r])
-                        : first_window_units(cfg_.initial_counts[r]);
-      attach_ft(ins, r);
-      co_await send_instr(r, std::move(ins), /*decision_round=*/0);
-    }
-    if (ft() && ft_sync_pending_) {
-      ft_sync_round_ = round_;
-      ft_sync_pending_ = false;
-      newly_evicted_.clear();
-    }
+    co_await send_instructions(round_, /*phase_done=*/false, nullptr);
   }
 
-  for (;;) {
-    const int report_round = cfg_.lb.pipelined ? round_ : round_ + 1;
-    if (!cfg_.lb.pipelined) ++round_;
-    auto reports = co_await collect_reports(report_round, active_);
+  bool phase_done = false;
+  while (!phase_done) {
+    round_ += 1 - lag;  // the round whose reports come in now
+    auto reports = co_await collect_reports(round_);
     const Time round_t0 = ctx_.now();
     ++stats_.rounds;
-    process_measurements(reports, collected_);
-    if (ft()) reconcile_census(reports, report_round);
+    process_measurements(reports);
+    if (ft()) reconcile_census(reports, round_);
 
     std::vector<int> remaining(nslaves_, 0);
     for (int r = 0; r < nslaves_; ++r) {
-      if (collected_[r]) remaining[r] = reports[r].remaining;
-    }
-    const int total = std::accumulate(remaining.begin(), remaining.end(), 0);
-
-    if (total == 0 && !recovery_pending_) {
-      // Phase complete. Pipelined: the phase_done message is labelled for
-      // the next round (slaves do one final balance); synchronous: for this
-      // round (slaves are waiting for it now).
-      if (cfg_.lb.pipelined) ++round_;
-      Decision none;
-      none.target = remaining;
-      close_round(obs::Gate::kPhaseEnd, "no work remaining", remaining, &none);
-      co_await send_instructions(round_, /*phase_done=*/true, none, rates_,
-                                 active_);
-      events_.emit(RoundTimed{round_t0, stats_.rounds});
-      if (cfg_.lb.pipelined) {
-        // Consume the final reports so rounds stay aligned across phases.
-        auto finals = co_await collect_reports(round_, active_);
-        process_measurements(finals, collected_);
-        ++stats_.rounds;
-        std::vector<int> fin(nslaves_, 0);
-        for (int r = 0; r < nslaves_; ++r) {
-          if (collected_[r]) fin[r] = finals[r].remaining;
-        }
-        close_round(obs::Gate::kFinalReports, "final reports consumed", fin,
-                    nullptr);
+      if (!collected_[r]) continue;
+      remaining[r] = reports[r].remaining;
+      if (reports[r].done) {  // done-flag termination: the rank is finished
+        active_[r] = false;
+        rates_[r] = 0;  // no longer a movement target
+        NOWLB_CHECK(reports[r].remaining == 0,
+                    "rank " << r << " finished with work remaining");
       }
+    }
+    if (std::ranges::count(active_, true) == 0) {
+      close_round(obs::Gate::kPhaseEnd, "all slaves done", remaining, nullptr);
       co_return;
     }
 
+    phase_done = cfg_.termination == Termination::kPhases &&
+                 !recovery_pending_ &&
+                 std::reduce(remaining.begin(), remaining.end()) == 0;
     Decision d;
-    if (recovery_pending_) {
+    if (phase_done) {
+      d.target = remaining;
+      close_round(obs::Gate::kPhaseEnd, "no work remaining", remaining, &d);
+    } else if (recovery_pending_) {
       // Freeze ordinary movement while an eviction is being recovered:
       // in-flight transfers would blur the inventory census that recovery
       // is built on.
@@ -141,48 +115,24 @@ Task<> Master::run_phase() {
     } else {
       d = make_decision(remaining);
     }
-    if (cfg_.lb.pipelined) ++round_;
-    co_await send_instructions(round_, /*phase_done=*/false, d, rates_,
-                               active_);
+    // Labelled for the report they answer: with a lag, each slave's next
+    // one (the instructions are usually waiting by the time it is sent);
+    // without, the one it sent this round.
+    round_ += lag;
+    co_await send_instructions(round_, phase_done, &d);
     events_.emit(RoundTimed{round_t0, stats_.rounds});
   }
-}
-
-Task<> Master::run_done_flags() {
-  // Reply-style rounds: instructions answer the current round's reports.
-  // Slaves poll for them (LbConfig.pipelined should be true), so the reply
-  // latency stays off their critical path while the data stays fresh.
-  std::vector<bool> active(nslaves_, true);
-  int n_active = nslaves_;
-
-  while (n_active > 0) {
-    ++round_;
-    auto reports = co_await collect_reports(round_, active);
-    const Time round_t0 = ctx_.now();
+  if (lag > 0) {
+    // Consume the final reports so rounds stay aligned across phases.
+    auto finals = co_await collect_reports(round_);
+    process_measurements(finals);
     ++stats_.rounds;
-    process_measurements(reports, active);
-
-    std::vector<int> remaining(nslaves_, 0);
+    std::vector<int> fin(nslaves_, 0);
     for (int r = 0; r < nslaves_; ++r) {
-      if (!active[r]) continue;
-      remaining[r] = reports[r].remaining;
-      if (reports[r].done) {
-        active[r] = false;
-        --n_active;
-        rates_[r] = 0;  // no longer a movement target
-        NOWLB_CHECK(reports[r].remaining == 0,
-                    "rank " << r << " finished with work remaining");
-      }
+      if (collected_[r]) fin[r] = finals[r].remaining;
     }
-    if (n_active == 0) {
-      close_round(obs::Gate::kPhaseEnd, "all slaves done", remaining, nullptr);
-      co_return;
-    }
-
-    const Decision d = make_decision(remaining);
-    co_await send_instructions(round_, /*phase_done=*/false, d, rates_,
-                               active);
-    events_.emit(RoundTimed{round_t0, stats_.rounds});
+    close_round(obs::Gate::kFinalReports, "final reports consumed", fin,
+                nullptr);
   }
 }
 
@@ -215,12 +165,10 @@ void Master::close_round(obs::Gate gate, const char* reason,
                            raw_rates_, rates_, to_seconds(freq_.period())});
 }
 
-Task<std::vector<StatusReport>> Master::collect_reports(
-    int round, const std::vector<bool>& expected) {
+Task<std::vector<StatusReport>> Master::collect_reports(int round) {
   std::vector<StatusReport> reports(nslaves_);
   std::vector<bool> seen(nslaves_, false);
-  int want = 0;
-  for (int r = 0; r < nslaves_; ++r) want += expected[r] ? 1 : 0;
+  const auto want = std::ranges::count(active_, true);
   int have = 0;
   const Time deadline = ctx_.now() + cfg_.lb.heartbeat_timeout;
 
@@ -231,8 +179,8 @@ Task<std::vector<StatusReport>> Master::collect_reports(
     if (rep.round == round) {
       const int rank = rank_of(src);
       NOWLB_CHECK(!seen[rank], "duplicate stashed report from rank " << rank);
-      NOWLB_CHECK(expected[rank], "stashed report from unexpected rank "
-                                      << rank);
+      NOWLB_CHECK(active_[rank], "stashed report from unexpected rank "
+                                     << rank);
       seen[rank] = true;
       reports[rank] = rep;
       ++have;
@@ -252,7 +200,7 @@ Task<std::vector<StatusReport>> Master::collect_reports(
         // rank is presumed crashed. Evict them all and return the partial
         // collection; recovery proceeds from the survivors' census.
         for (int r = 0; r < nslaves_; ++r) {
-          if (expected[r] && !seen[r]) evict(r);
+          if (active_[r] && !seen[r]) evict(r);
         }
         break;
       }
@@ -271,7 +219,7 @@ Task<std::vector<StatusReport>> Master::collect_reports(
       rep = msg::decode<StatusReport>(m.payload);
     }
     const int rank = rank_of(src);
-    NOWLB_CHECK(expected[rank], "report from unexpected rank " << rank);
+    NOWLB_CHECK(active_[rank], "report from unexpected rank " << rank);
     // Stamped at true arrival time: a stashed early report is not
     // re-reported when the next collection consumes it.
     events_.emit(ReportArrived{rank, rep.round});
@@ -292,14 +240,13 @@ Task<std::vector<StatusReport>> Master::collect_reports(
   co_return reports;
 }
 
-void Master::process_measurements(const std::vector<StatusReport>& reports,
-                                  const std::vector<bool>& mask) {
+void Master::process_measurements(const std::vector<StatusReport>& reports) {
   // Interaction cost: the *least*-blocked slave reflects the pure cost of
   // exchanging information with the master; larger values are round skew
   // (waiting for stragglers), which is load imbalance, not overhead.
   Time min_blocked = std::numeric_limits<Time>::max();
   for (int r = 0; r < nslaves_; ++r) {
-    if (!mask[r]) continue;
+    if (!collected_[r]) continue;
     const auto& rep = reports[r];
     // Rate update. Uninformative windows keep the previous estimate (see
     // informative_window).
@@ -332,7 +279,7 @@ void Master::process_measurements(const std::vector<StatusReport>& reports,
   double sum = 0;
   int cnt = 0;
   for (int r = 0; r < nslaves_; ++r) {
-    if (mask[r] && measured_[r] && rates_[r] > 0) {
+    if (collected_[r] && measured_[r] && rates_[r] > 0) {
       sum += rates_[r];
       ++cnt;
     }
@@ -340,7 +287,7 @@ void Master::process_measurements(const std::vector<StatusReport>& reports,
   if (cnt > 0) {
     const double prior = sum / cnt;
     for (int r = 0; r < nslaves_; ++r) {
-      if (!mask[r]) continue;
+      if (!collected_[r]) continue;
       if (!measured_[r]) {
         rates_[r] = prior;
         filters_[r].force(prior);
@@ -354,19 +301,19 @@ void Master::process_measurements(const std::vector<StatusReport>& reports,
 }
 
 Task<> Master::send_instructions(int round, bool phase_done,
-                                 const Decision& decision,
-                                 const std::vector<double>& rates,
-                                 const std::vector<bool>& recipients) {
+                                 const Decision* decision) {
   // Group transfers into per-rank send/receive orders.
   std::vector<std::vector<MoveOrder>> orders(nslaves_);
-  for (const Transfer& t : decision.transfers) {
-    orders[t.from_rank].push_back(
-        {t.to_rank, t.count, /*is_send=*/std::uint8_t{1}});
-    orders[t.to_rank].push_back(
-        {t.from_rank, t.count, /*is_send=*/std::uint8_t{0}});
+  if (decision != nullptr) {
+    for (const Transfer& t : decision->transfers) {
+      orders[t.from_rank].push_back(
+          {t.to_rank, t.count, /*is_send=*/std::uint8_t{1}});
+      orders[t.to_rank].push_back(
+          {t.from_rank, t.count, /*is_send=*/std::uint8_t{0}});
+    }
   }
   for (int r = 0; r < nslaves_; ++r) {
-    if (!recipients[r]) {
+    if (!active_[r]) {
       NOWLB_CHECK(orders[r].empty(),
                   "movement ordered for inactive rank " << r);
       continue;
@@ -375,22 +322,18 @@ Task<> Master::send_instructions(int round, bool phase_done,
     ins.round = round;
     ins.phase_done = phase_done ? 1 : 0;
     ins.units_until_next =
-        rates[r] > 0 ? freq_.units_for_period(rates[r])
-                     : first_window_units(cfg_.initial_counts[r]);
+        rates_[r] > 0 ? freq_.units_for_period(rates_[r])
+                      : first_window_units(cfg_.initial_counts[r]);
     ins.orders = std::move(orders[r]);
     attach_ft(ins, r);
-    co_await send_instr(r, std::move(ins), /*decision_round=*/stats_.rounds);
+    events_.emit(InstructionsSent{r, ins, decision ? stats_.rounds : 0});
+    co_await transport_->send(slave_pids_[r], kTagInstr, msg::encode(ins));
   }
   if (ft() && ft_sync_pending_) {
     ft_sync_round_ = round;
     ft_sync_pending_ = false;
     newly_evicted_.clear();
   }
-}
-
-Task<> Master::send_instr(int rank, Instructions ins, int decision_round) {
-  events_.emit(InstructionsSent{rank, ins, decision_round});
-  co_await transport_->send(slave_pids_[rank], kTagInstr, msg::encode(ins));
 }
 
 void Master::attach_ft(Instructions& ins, int rank) {

@@ -5,13 +5,15 @@
 // redistribution, gates it by the improvement threshold and profitability,
 // plans transfers (direct or adjacent-only), selects the next balancing
 // period, and sends per-slave instructions. In pipelined mode instructions
-// are issued one round ahead so slave blocking time is just the local
-// send/receive cost.
+// are issued one round ahead (instruction_lag) so slave blocking time is
+// just the local send/receive cost.
 //
 // The master's control loop mirrors the slaves' phase structure (§4.1):
 // ClusterConfig.phases is the number of distributed-loop invocations the
 // generated program performs, so master and slaves execute the same number
-// of balancing phases and terminate together.
+// of balancing phases and terminate together. One round loop serves both
+// terminations: a phase-counting phase ends when no work remains, and a
+// done-flag run is one phase that ends when every rank has reported done.
 #pragma once
 
 #include <algorithm>
@@ -83,6 +85,15 @@ struct ClusterConfig {
   bool use_master = true;
 };
 
+/// Rounds by which instructions trail the reports they are computed from
+/// (Fig. 2): a pipelined phase-counting master answers round r's reports
+/// with instructions for round r + 1, which each slave finds waiting at its
+/// next balance. A synchronous master, and a done-flag master (its slaves
+/// poll), answer round r's reports with round r's instructions.
+inline int instruction_lag(const ClusterConfig& cfg) {
+  return cfg.termination == Termination::kPhases && cfg.lb.pipelined ? 1 : 0;
+}
+
 /// Work units a rank completes before the first balance of each phase,
 /// when no rate information exists yet: 5 % of its initial assignment, at
 /// least one unit. Small, so rate information is established early in a
@@ -102,20 +113,22 @@ class Master {
   sim::Task<> run();
 
  private:
+  /// Balancing rounds until the phase ends: no work remains (phase
+  /// counting) or no rank is active (done flags; a rank whose report says
+  /// done leaves active_).
   sim::Task<> run_phase();
-  sim::Task<> run_done_flags();
-  /// Collect one report from every rank with expected[rank] set. Under a
-  /// heartbeat regime a rank whose report is more than heartbeat_timeout
-  /// late is evicted and the collection returns partial; `collected_`
-  /// holds the ranks actually heard from.
-  sim::Task<std::vector<StatusReport>> collect_reports(
-      int round, const std::vector<bool>& expected);
+  /// Collect one report from every active rank. Under a heartbeat regime a
+  /// rank whose report is more than heartbeat_timeout late is evicted and
+  /// the collection returns partial; `collected_` holds the ranks actually
+  /// heard from.
+  sim::Task<std::vector<StatusReport>> collect_reports(int round);
+  /// Send every active rank its instructions for `round`: its orders from
+  /// `decision` and its next balancing period from rates_. A null decision
+  /// (pipeline priming) orders nothing and carries ledger round 0.
   sim::Task<> send_instructions(int round, bool phase_done,
-                                const Decision& decision,
-                                const std::vector<double>& rates,
-                                const std::vector<bool>& recipients);
-  void process_measurements(const std::vector<StatusReport>& reports,
-                            const std::vector<bool>& mask);
+                                const Decision* decision);
+  /// Update rate estimates and cost observations from the collected ranks.
+  void process_measurements(const std::vector<StatusReport>& reports);
   /// Declare a rank dead: stop expecting traffic, zero its rate, queue the
   /// eviction notice for the next instructions, start recovery.
   void evict(int rank);
@@ -128,11 +141,6 @@ class Master {
                         int census_round);
   /// Attach the fault-tolerance trailer (eviction notices, adopt orders).
   void attach_ft(Instructions& ins, int rank);
-  /// Reliable (or plain, when the transport is disabled) instruction send.
-  /// `decision_round` is the decision-ledger round the instructions carry
-  /// (0 = pipelined priming / no decision); it feeds the cz.instr_send
-  /// trace annotation.
-  sim::Task<> send_instr(int rank, Instructions ins, int decision_round);
   bool ft() const { return cfg_.lb.fault_tolerance(); }
   /// Gate + plan movement for the current remaining distribution, updating
   /// stats and the decision ledger.
@@ -162,11 +170,11 @@ class Master {
   FrequencyController freq_;
   double move_cost_per_unit_s_;
   MasterStats& stats_;
+  std::vector<bool> active_;      // rank neither evicted nor done
+  std::vector<bool> collected_;   // ranks heard from in the last collection
 
   // ---- fault tolerance (DESIGN.md §9) ----
   std::unique_ptr<Transport> transport_;
-  std::vector<bool> active_;      // rank not evicted
-  std::vector<bool> collected_;   // ranks heard from in the last collection
   std::vector<int> newly_evicted_;  // evictions not yet announced
   /// Census synchronization barrier. Eviction notices and adopt orders
   /// take effect when slaves apply the instructions carrying them, and the

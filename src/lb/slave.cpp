@@ -159,20 +159,15 @@ Task<> SlaveAgent::hook() {
   if (awaiting_instr_) {
     if (held_instr_) {
       co_await handle_instr(co_await recv_instr());
-    } else if (lb_.pipelined) {
-      // Pipelined: poll; keep computing if instructions haven't arrived.
+    } else {
+      NOWLB_CHECK(lb_.pipelined, "a synchronous report is answered at once");
+      // Poll; keep computing if instructions haven't arrived.
       if (auto m = ctx_.try_recv(kTagInstr, master_)) {
         const Time t0 = ctx_.now();
         co_await ctx_.compute(ctx_.world().config().msg.recv_overhead);
         overhead_accum_ += ctx_.now() - t0;
         co_await handle_instr(msg::decode<Instructions>(m->payload));
       }
-    } else {
-      // Synchronous: the full master round trip is on the critical path.
-      const Time t0 = ctx_.now();
-      Instructions ins = co_await recv_instr();
-      overhead_accum_ += ctx_.now() - t0;
-      co_await handle_instr(ins);
     }
   }
   if (!awaiting_instr_ && balance_due()) {

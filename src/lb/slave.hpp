@@ -68,8 +68,6 @@ class SlaveAgent {
              std::vector<sim::Pid> slave_pids, const LbConfig& lb,
              WorkOps ops, double first_window_units);
 
-  int rank() const { return rank_; }
-
   /// Start a new distributed-loop invocation: reset the measurement window.
   void begin_phase();
 

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
 
   perf::BenchOptions opt;
   opt.quick = cli.get_bool("quick", false);
-  opt.reps = static_cast<int>(cli.get_int("reps", 0));
-  opt.warmup = static_cast<int>(cli.get_int("warmup", -1));
+  opt.reps = cli.get_int("reps", 0, 1);
+  opt.warmup = cli.get_int("warmup", -1, 0);
   const std::string filter = cli.get("filter", "");
 
   perf::ReportMeta meta;

@@ -9,21 +9,17 @@
 
 namespace nowlb {
 
-namespace {
-
-/// A value that does not parse whole must not fall back to a default or
-/// to its numeric prefix: print it the way an unknown flag is printed.
-[[noreturn]] void bad_value(const std::string& name, const std::string& value,
-                            const char* expected) {
+// A value that does not parse whole must not fall back to a default or
+// to its numeric prefix: print it the way an unknown flag is printed.
+void Cli::bad_value(const std::string& name, const std::string& value,
+                    const std::string& expected) {
   std::fprintf(stderr, "bad value --%s=%s: expected %s (see --help)\n",
-               name.c_str(), value.c_str(), expected);
+               name.c_str(), value.c_str(), expected.c_str());
   std::exit(2);
 }
 
-}  // namespace
-
 Cli::Cli(int argc, const char* const* argv, std::vector<std::string> flags,
-         std::string usage)
+         std::string usage, bool positionals)
     : usage_(std::move(usage)) {
   if (usage_.empty()) {
     std::string prog = argc > 0 ? argv[0] : "";
@@ -40,16 +36,22 @@ Cli::Cli(int argc, const char* const* argv, std::vector<std::string> flags,
   }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
+    const bool dashed = arg.size() > 1 && arg[0] == '-';
+    if (!dashed && positionals) {
       positional_.push_back(arg);
       continue;
     }
+    const bool is_flag = arg.rfind("--", 0) == 0;
     const auto eq = arg.find('=');
     const std::string name =
-        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
-    if (std::find(flags.begin(), flags.end(), name) == flags.end()) {
-      // A misspelled flag must not silently fall back to a default.
-      std::fprintf(stderr, "unknown flag %s (see --help)\n", arg.c_str());
+        is_flag ? arg.substr(2, eq == std::string::npos ? eq : eq - 2) : "";
+    if (!is_flag ||
+        std::find(flags.begin(), flags.end(), name) == flags.end()) {
+      // A misspelled flag (`-seeds=3` included) or a stray argument must
+      // not silently leave a default in place.
+      std::fprintf(stderr, "%s %s (see --help)\n",
+                   dashed ? "unknown flag" : "unexpected argument",
+                   arg.c_str());
       std::exit(2);
     }
     // A bare --flag is boolean; values use --name=value.
@@ -63,19 +65,6 @@ std::string Cli::get(const std::string& name,
                      const std::string& fallback) const {
   const auto it = flags_.find(name);
   return it == flags_.end() ? fallback : it->second;
-}
-
-long long Cli::get_int(const std::string& name, long long fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    bad_value(name, it->second, "an integer");
-  }
-  return v;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {

@@ -222,8 +222,8 @@ TEST(Scenario, WrongRoundFaultIsDetected) {
 // A simulated process that throws ends the run as a `process` failure; it
 // must not escape run_scenario, and it is the run's only failure: no
 // watchdog timeout, and no end-of-run check of the slices it left behind.
-// LU has no inventory/adopt, so its agents refuse a heartbeat regime by
-// throwing.
+// LU's agents get an inventory from loop::array_ops but no adopt, so they
+// refuse a heartbeat regime by throwing.
 TEST(Scenario, ProcessExceptionIsRecordedAsFailure) {
   Scenario sc = generate_scenario(3, App::kLu);
   sc.lb.transport.enabled = true;

@@ -1,4 +1,4 @@
-// Determinism lockdown for the figures and four fuzz scenarios.
+// Determinism lockdown for the figures and six fuzz scenarios.
 //
 // Two guarantees are pinned here, and together they license every host-side
 // optimization in sim/msg/lb/data:
@@ -63,7 +63,9 @@ constexpr FigureGolden kFigureGoldens[] = {
 };
 
 /// One representative seed per app, fault-free, and one MM seed under
-/// heavy loss, duplication and reordering.
+/// heavy loss, duplication and reordering. MM seed 7 draws a synchronous
+/// master (no other golden does), clean and with a mid-run crash that the
+/// synchronous master recovers from.
 struct FuzzGolden {
   const char* name;
   check::App app;
@@ -81,6 +83,14 @@ constexpr FuzzGolden kFuzzGoldens[] = {
     {"fuzz.mm.faults", check::App::kMm, 14,
      {.drop_rate = 0.15, .dup_rate = 0.1, .reorder_delay = 3 * kMillisecond},
      0x453508ba345e4f6ull},
+    {"fuzz.mm.sync", check::App::kMm, 7, {}, 0x47ab8d9ba35a549cull},
+    {"fuzz.mm.sync_crash", check::App::kMm, 7,
+     {.drop_rate = 0.05,
+      .dup_rate = 0.02,
+      .reorder_delay = 500 * kMicrosecond,
+      .kill_rank = 1,
+      .kill_round = 3},
+     0xd74adb91635e61e5ull},
 };
 
 /// Every field of a measurement, so two runs compare bit for bit.

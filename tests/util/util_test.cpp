@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -100,7 +102,8 @@ TEST(AsciiChart, RendersNonEmpty) {
 
 TEST(Cli, ParsesFlagsAndPositionals) {
   const char* argv[] = {"prog", "--n=5", "--rate=2.5", "--verbose", "pos1"};
-  Cli cli(5, argv, {"n", "rate", "verbose", "quiet"});
+  Cli cli(5, argv, {"n", "rate", "verbose", "quiet"}, "",
+          /*positionals=*/true);
   EXPECT_EQ(cli.get_int("n", 0), 5);
   EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 2.5);
   EXPECT_TRUE(cli.get_bool("verbose", false));
@@ -140,6 +143,37 @@ TEST(CliDeathTest, MalformedValueExitsTwoNamingIt) {
               "--verbose=on");
   EXPECT_EXIT(cli.get_double("inf", 0.0), ::testing::ExitedWithCode(2),
               "--inf=inf");
+}
+
+// A value past the type it is read into, or past the caller's bounds,
+// exits 2 and names the flag and the range: it never wraps.
+TEST(CliDeathTest, OutOfRangeValueExitsTwoNamingIt) {
+  const char* argv[] = {"prog", "--slaves=4294967336", "--seed=-1",
+                        "--reps=0", "--top=7"};
+  const Cli cli(5, argv, {"slaves", "seed", "reps", "top"});
+  EXPECT_EXIT(cli.get_int("slaves", 4), ::testing::ExitedWithCode(2),
+              "--slaves=4294967336: expected an integer in "
+              "\\[-2147483648, 2147483647\\]");
+  EXPECT_EXIT(cli.get_int<std::uint64_t>("seed", 1),
+              ::testing::ExitedWithCode(2),
+              "--seed=-1: expected an integer in "
+              "\\[0, 18446744073709551615\\]");
+  EXPECT_EXIT(cli.get_int("reps", 3, 1), ::testing::ExitedWithCode(2),
+              "--reps=0: expected an integer in \\[1, 2147483647\\]");
+  EXPECT_EQ(cli.get_int<std::size_t>("top", 5, 1, 9), 7u);
+}
+
+// An argument that is not a flag exits 2 and names it, unless the binary
+// reads positional arguments; a single-dash argument is never one.
+TEST(CliDeathTest, StrayArgumentExitsTwoNamingIt) {
+  const char* dashed[] = {"prog", "-seeds=3"};
+  EXPECT_EXIT(Cli(2, dashed, {"seeds"}), ::testing::ExitedWithCode(2),
+              "unknown flag -seeds=3");
+  EXPECT_EXIT(Cli(2, dashed, {"seeds"}, "", /*positionals=*/true),
+              ::testing::ExitedWithCode(2), "unknown flag -seeds=3");
+  const char* bare[] = {"prog", "fig5"};
+  EXPECT_EXIT(Cli(2, bare, {"n"}), ::testing::ExitedWithCode(2),
+              "unexpected argument fig5");
 }
 
 // --help prints the declared flags (or the given usage text) and exits 0
