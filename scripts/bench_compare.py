@@ -3,6 +3,8 @@
 
 Usage:
   bench_compare.py --baseline OLD.json --current NEW.json [--threshold 0.15]
+  bench_compare.py --baseline B1.json --current C1.json \
+                   --baseline B2.json --current C2.json ...   # pairs
   bench_compare.py --self-test                   # exercise the comparator
 
 Both reports should come from one host, e.g. the base commit's and the
@@ -19,10 +21,18 @@ Benchmarks present in the baseline but missing from the current report are
 regressions too — the gate must not silently lose coverage. New
 benchmarks in the current report are reported but never fail.
 
+Given several --baseline/--current pairs (paired by position, e.g. rounds
+that alternate which side runs first), each pair is compared as above,
+and a benchmark is REGRESSED or OVERLIMIT only when that rule fires in a
+majority of the pairs (two of three); in fewer it prints as noisy. A
+benchmark MISSING from any current report fails. One pair is the plain
+comparison.
+
 Exit status: 0 clean, 1 regression(s), 2 usage/schema error.
 """
 
 import argparse
+import collections
 import json
 import sys
 
@@ -93,24 +103,71 @@ def compare(baseline, current, threshold):
             lines.append(f"  ok        {name}: {arrow}")
     for name in sorted(set(cur) - set(base)):
         lines.append(f"  NEW       {name}: no baseline yet")
-    for name in sorted(ABS_LIMITS):
-        if name not in cur:
-            continue
-        limit = ABS_LIMITS[name]
-        median = cur[name]["median"]
-        if median > limit:
-            regressions.append(name)
-            lines.append(f"  OVERLIMIT {name}: median {median:.6g} exceeds "
-                         f"absolute ceiling {limit:.6g}")
+    for name in over_limits(current):
+        regressions.append(name)
+        lines.append(f"  OVERLIMIT {name}: median {cur[name]['median']:.6g} "
+                     f"exceeds absolute ceiling {ABS_LIMITS[name]:.6g}")
     return regressions, lines
 
 
+def over_limits(current):
+    """Names of the benchmarks whose median in `current` is above their
+    absolute ceiling."""
+    cur = {b["name"]: b for b in current["benchmarks"]}
+    return [name for name in sorted(ABS_LIMITS)
+            if name in cur and cur[name]["median"] > ABS_LIMITS[name]]
+
+
+def compare_pairs(pairs, threshold):
+    """Return (regressions, lines) over (baseline, current) report pairs: a
+    benchmark fails when it is missing from any current report, or when
+    compare() regresses it, or finds it over its ceiling, in a majority of
+    the pairs. One pair is compare() itself."""
+    if len(pairs) == 1:
+        return compare(*pairs[0], threshold)
+    need = len(pairs) // 2 + 1
+    fired = collections.Counter()  # (kind, name) -> pairs it fired in
+    missing = set()
+    lines = []
+    for k, (baseline, current) in enumerate(pairs, 1):
+        regressions, pair_lines = compare(baseline, current, threshold)
+        lines.append(f" pair {k}:")
+        lines.extend(pair_lines)
+        present = {b["name"] for b in current["benchmarks"]}
+        over = set(over_limits(current))
+        for name in set(regressions):
+            if name not in present:
+                missing.add(name)
+                continue
+            # compare() lists a name once per rule that fired for it.
+            if name in over:
+                fired["OVERLIMIT", name] += 1
+            if regressions.count(name) > (name in over):
+                fired["REGRESSED", name] += 1
+    failed = sorted(missing)
+    verdict = [f"  MISSING   {name}: missing from a current report"
+               for name in sorted(missing)]
+    for (kind, name), n in sorted(fired.items(), key=lambda kv: kv[0][::-1]):
+        if n >= need:
+            failed.append(name)
+            verdict.append(f"  {kind:<9} {name}: in {n} of {len(pairs)} pairs")
+        else:
+            verdict.append(f"  noisy     {name}: {kind} in {n} of "
+                           f"{len(pairs)} pairs only")
+    if verdict:
+        lines.append(f" over {len(pairs)} pairs (a regression must fire in "
+                     f"{need}):")
+        lines.extend(verdict)
+    return failed, lines
+
+
 def run_compare(args):
-    baseline = load_report(args.baseline)
-    current = load_report(args.current)
-    print(f"bench_compare: {args.baseline} -> {args.current} "
-          f"(threshold {args.threshold:.0%})")
-    regressions, lines = compare(baseline, current, args.threshold)
+    pairs = []
+    for base_path, cur_path in zip(args.baseline, args.current):
+        pairs.append((load_report(base_path), load_report(cur_path)))
+        print(f"bench_compare: {base_path} -> {cur_path} "
+              f"(threshold {args.threshold:.0%})")
+    regressions, lines = compare_pairs(pairs, args.threshold)
     print("\n".join(lines))
     if regressions:
         print(f"bench_compare: {len(regressions)} regression(s): "
@@ -191,14 +248,37 @@ def self_test():
     regs, _ = compare(base, taxed, 0.15)
     assert regs == [], regs
 
+    # 9. Over three pairs, a regression in one pair only is noise: it
+    #    passes and prints as noisy, as does one pair over a ceiling.
+    taxed["benchmarks"][-1]["median"] = 1.2
+    regs, lines = compare_pairs([(base, bad), (base, ok), (base, taxed)],
+                                0.15)
+    assert regs == [], regs
+    for noisy in ("thru: REGRESSED in 1 of 3", "wall: REGRESSED in 1 of 3",
+                  "obs.overhead: OVERLIMIT in 1 of 3"):
+        assert f"  noisy     {noisy} pairs only" in lines, lines
+
+    # 10. A regression in two of three pairs fails; so does a benchmark
+    #     missing from one current report.
+    regs, lines = compare_pairs([(base, bad), (base, ok), (base, bad)],
+                                0.15)
+    assert regs == ["thru", "wall"], regs
+    assert any(l.startswith("  REGRESSED thru: in 2 of 3") for l in lines), \
+        lines
+    regs, _ = compare_pairs([(base, ok), (base, partial), (base, ok)], 0.15)
+    assert regs == ["wall"], regs
+
     print("bench_compare: self-test passed")
     return 0
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", help="baseline report")
-    ap.add_argument("--current", help="report to check")
+    ap.add_argument("--baseline", action="append", default=[],
+                    help="baseline report (repeat for several pairs)")
+    ap.add_argument("--current", action="append", default=[],
+                    help="report to check (paired with the --baseline "
+                    "in the same position)")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="allowed relative median drift (default 0.15)")
     ap.add_argument("--self-test", action="store_true",
@@ -208,6 +288,9 @@ def main():
         sys.exit(self_test())
     if not (args.baseline and args.current):
         ap.error("--baseline and --current are required (or use --self-test)")
+    if len(args.baseline) != len(args.current):
+        ap.error(f"{len(args.baseline)} --baseline but {len(args.current)} "
+                 "--current reports: they compare in pairs")
     sys.exit(run_compare(args))
 
 

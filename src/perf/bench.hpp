@@ -83,4 +83,9 @@ Suite default_suite();
 /// and `msg.protocol_roundtrip` lost a fifth of its rate.
 double column_move(const BenchOptions&, std::map<std::string, double>& extra);
 
+/// The `obs.trace_append` micro: events/s appended into a fresh trace bus.
+/// A file of its own too, so that no other micro's code shares its file's
+/// inlining budget with it.
+double trace_append(const BenchOptions&, std::map<std::string, double>& extra);
+
 }  // namespace nowlb::perf

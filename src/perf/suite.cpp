@@ -4,7 +4,8 @@
 // schedule/cancel churn), messages/sec through the reliable transport
 // (clean and lossy links), the two serialization hot paths (protocol
 // framing, slice pack/unpack), a SOR-shaped column move, SOR's strip loop
-// over the slice store, and the flight recorder's tax on a reduced MM run.
+// over the slice store, the flight recorder's tax on a reduced MM run, and
+// its append rate into a fresh trace bus.
 // Whole figure runs and fuzz scenarios are timed end to end by perfbench
 // (perfbench/README.md).
 //
@@ -298,6 +299,7 @@ Suite default_suite() {
   s.add({"data.column_move", "columns/s", true, column_move});
   s.add({"data.sor_strip", "strips/s", true, sor_strip});
   s.add({"obs.overhead", "x", false, obs_overhead});
+  s.add({"obs.trace_append", "events/s", true, trace_append});
   return s;
 }
 

@@ -1,19 +1,22 @@
 // Trace bus and Chrome trace_event exporter: event capture, capacity cap,
-// JSON structure (metadata, instants, complete spans, escaping), monotonic
-// timestamps, pid/tid -> host/lane mapping, pins of the bytes the
-// recorder's exports hold for four runs, live and from their run files,
-// and the zero-perturbation guarantee (attaching the recorder never
-// changes the dispatched event sequence of a simulation).
+// the bus's block store (order across blocks, stable addresses, blocks
+// reused after clear), JSON structure (metadata, instants, complete spans,
+// escaping), monotonic timestamps, pid/tid -> host/lane mapping, pins of
+// the bytes the recorder's exports hold for five runs, live and from their
+// run files, and the zero-perturbation guarantee (attaching the recorder
+// never changes the dispatched event sequence of a simulation).
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
 
 #include "check/scenario.hpp"
 #include "exp/harness.hpp"
+#include "exp/registry.hpp"
 #include "load/generators.hpp"
 #include "obs/causal.hpp"
 #include "obs/chrome_trace.hpp"
@@ -38,6 +41,8 @@ TEST(TraceBus, CapturesInstantsAndSpans) {
   EXPECT_EQ(bus.dropped(), 0u);
 }
 
+constexpr std::size_t kBlock = obs::TraceEvents::kBlockEvents;
+
 TEST(TraceBus, CapacityCapCountsDrops) {
   obs::TraceBus bus;
   bus.set_capacity(2);
@@ -47,6 +52,87 @@ TEST(TraceBus, CapacityCapCountsDrops) {
   bus.clear();
   EXPECT_TRUE(bus.events().empty());
   EXPECT_EQ(bus.dropped(), 0u);
+
+  // A cap that falls inside the second block.
+  bus.set_capacity(kBlock + 10);
+  for (std::size_t i = 0; i < kBlock + 25; ++i) {
+    bus.instant(static_cast<sim::Time>(i), 0, 0, "c", "n");
+  }
+  EXPECT_EQ(bus.events().size(), kBlock + 10);
+  EXPECT_EQ(bus.dropped(), 15u);
+  EXPECT_EQ(bus.events()[kBlock + 9].t, static_cast<sim::Time>(kBlock + 9));
+}
+
+// The bus stores events in fixed blocks; reads cross the block boundaries
+// in push order, by index and by range-for, for both kinds of event.
+TEST(TraceBus, EventsSpanBlocksInOrder) {
+  constexpr std::size_t n = 2 * kBlock + kBlock / 2;
+  obs::TraceBus bus;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto t = static_cast<sim::Time>(i);
+    if (i % 3 == 0) {
+      bus.complete(t, t + 2, 0, 1, "c", "span", {"i", static_cast<double>(i)});
+    } else {
+      bus.instant(t, 0, 1, "c", "point", {"i", static_cast<double>(i)});
+    }
+  }
+  ASSERT_EQ(bus.events().size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const obs::TraceEvent& e = bus.events()[i];
+    ASSERT_EQ(e.t, static_cast<sim::Time>(i));
+    ASSERT_EQ(e.a0.value, static_cast<double>(i));
+    ASSERT_EQ(e.phase, i % 3 == 0 ? obs::TraceEvent::Phase::kComplete
+                                  : obs::TraceEvent::Phase::kInstant);
+    ASSERT_EQ(e.dur, i % 3 == 0 ? 2 : 0);
+  }
+  std::size_t i = 0;
+  for (const obs::TraceEvent& e : bus.events()) {
+    ASSERT_EQ(e.t, static_cast<sim::Time>(i));
+    ++i;
+  }
+  EXPECT_EQ(i, n);
+}
+
+// An append never moves an earlier event: event 0 keeps its address
+// while three more blocks fill.
+TEST(TraceBus, EventsNeverMove) {
+  obs::TraceBus bus;
+  bus.instant(0, 0, 0, "c", "first");
+  const obs::TraceEvent* first = &bus.events()[0];
+  for (std::size_t i = 1; i <= 3 * kBlock; ++i) {
+    bus.instant(static_cast<sim::Time>(i), 0, 0, "c", "n");
+  }
+  ASSERT_EQ(bus.events().size(), 3 * kBlock + 1);
+  EXPECT_EQ(&bus.events()[0], first);
+  EXPECT_STREQ(bus.events()[0].name, "first");
+}
+
+// clear() keeps the blocks: a shorter second run is written into the
+// first run's storage and reads back only its own events.
+TEST(TraceBus, ClearKeepsBlocksForTheNextRun) {
+  obs::TraceBus bus;
+  for (std::size_t i = 0; i < 3 * kBlock; ++i) {
+    bus.instant(static_cast<sim::Time>(i), 0, 0, "c", "run1");
+  }
+  const obs::TraceEvent* block0 = &bus.events()[0];
+  const obs::TraceEvent* block1 = &bus.events()[kBlock];
+  bus.clear();
+  EXPECT_TRUE(bus.events().empty());
+
+  constexpr std::size_t n = kBlock + kBlock / 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    bus.instant(static_cast<sim::Time>(i), 1, 1, "c", "run2");
+  }
+  ASSERT_EQ(bus.events().size(), n);
+  EXPECT_EQ(&bus.events()[0], block0);
+  EXPECT_EQ(&bus.events()[kBlock], block1);
+  std::size_t i = 0;
+  for (const obs::TraceEvent& e : bus.events()) {
+    ASSERT_STREQ(e.name, "run2");
+    ASSERT_EQ(e.t, static_cast<sim::Time>(i));
+    ++i;
+  }
+  EXPECT_EQ(i, n);
 }
 
 TEST(ChromeTrace, EmitsMetadataEventsAndArgs) {
@@ -212,6 +298,28 @@ TEST(RecorderPin, OutputBytesAreUnchanged) {
   EXPECT_EQ(hub.trace.events().size(), 442u);
   EXPECT_EQ(fnv1a(recorder_output(hub)), 0xcfd313a280c13f96ull);
   EXPECT_EQ(fnv1a(reloaded_output(hub)), 0xcfd313a280c13f96ull);
+}
+
+// nowlb-inspect's default Fig. 9 point (n = 500, 4 slaves, the 20 s
+// oscillating load), the run perfbench's mm_oscillating records: its
+// 17,020 events fill 17 of the trace bus's 1,024-event blocks, where the
+// pins above stay within two.
+TEST(RecorderPin, PaperSizeFig9PointSpansManyBlocks) {
+  const auto& figs = exp::figures();
+  const auto fig = std::find_if(figs.begin(), figs.end(),
+                                [](const exp::Figure& f) {
+                                  return std::string(f.name) ==
+                                         "fig9.mm_oscillating";
+                                });
+  ASSERT_NE(fig, figs.end());
+  exp::ExperimentConfig cfg = exp::config(fig->workload, 4);
+  obs::Observability hub;
+  cfg.obs = &hub;
+  exp::run(fig->workload, cfg);
+  EXPECT_EQ(hub.trace.events().size(), 17'020u);
+  EXPECT_EQ(hub.ledger.records().size(), 286u);
+  EXPECT_EQ(fnv1a(recorder_output(hub)), 0x24eec38acfff0a69ull);
+  EXPECT_EQ(fnv1a(reloaded_output(hub)), 0x24eec38acfff0a69ull);
 }
 
 // The acceptance property: a seeded run dispatches the bit-identical
